@@ -197,13 +197,12 @@ def cmd_glue(args) -> int:
 def _monoid_refs(path):
     """The N and H reference strings recorded in an extension file."""
     n_ref = h_ref = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.split("#", 1)[0].strip()
-            if stripped.startswith("N "):
-                n_ref = stripped[2:].strip()
-            elif stripped.startswith("H "):
-                h_ref = stripped[2:].strip()
+    for line in wio._read_text(path).split("\n"):
+        stripped = line.split("#", 1)[0].strip()
+        if stripped.startswith("N "):
+            n_ref = stripped[2:].strip()
+        elif stripped.startswith("H "):
+            h_ref = stripped[2:].strip()
     return n_ref or "N", h_ref or "H"
 
 

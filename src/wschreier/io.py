@@ -59,6 +59,23 @@ class ParseError(FormatError):
         self.col = col
 
 
+def _read_text(path: str) -> str:
+    """The text of a file, with newlines translated as open() does in text
+    mode.  A byte sequence that is not UTF-8 is a ParseError at its line and
+    column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the sentinel makes splitlines count a line that starts at the bad byte
+        rows = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            "invalid UTF-8 byte 0x%02x" % data[exc.start], path, len(rows), len(rows[-1])
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 class _Lines:
     """Significant lines of a file as (lineno, [(token, column)]) records."""
 
@@ -175,8 +192,7 @@ def serialize_monoid(M: FiniteMonoid, name: str = "m") -> str:
 
 
 def load_monoid(path: str, validate: bool = True) -> FiniteMonoid:
-    with open(path, encoding="utf-8") as fh:
-        return parse_monoid(fh.read(), path, validate)
+    return parse_monoid(_read_text(path), path, validate)
 
 
 def _reference(lines, rec, word, base_dir):
@@ -215,8 +231,7 @@ def load_hom(path: str, validate: bool = True) -> MonoidHom:
     (a ParseError otherwise); without, only the shape is enforced, so
     callers can report law violations themselves."""
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, encoding="utf-8") as fh:
-        lines = _Lines(fh.read(), path)
+    lines = _Lines(_read_text(path), path)
     _keyword(lines, lines.next("map header"), "map")
     source, _ = _reference(lines, lines.next("source"), "source", base)
     target, _ = _reference(lines, lines.next("target"), "target", base)
@@ -268,8 +283,7 @@ def _act_lines(lines, N, H, word="act"):
 
 def load_action(path: str) -> ActionTable:
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, encoding="utf-8") as fh:
-        lines = _Lines(fh.read(), path)
+    lines = _Lines(_read_text(path), path)
     _keyword(lines, lines.next("action header"), "action")
     N, _ = _reference(lines, lines.next("N"), "N", base)
     H, _ = _reference(lines, lines.next("H"), "H", base)
@@ -288,8 +302,7 @@ def serialize_action(a: ActionTable, n_path: str, h_path: str, name: str = "a") 
 
 def load_extension(path: str) -> SplitExtension:
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, encoding="utf-8") as fh:
-        lines = _Lines(fh.read(), path)
+    lines = _Lines(_read_text(path), path)
     _keyword(lines, lines.next("extension header"), "extension")
     N, _ = _reference(lines, lines.next("N"), "N", base)
     G, _ = _reference(lines, lines.next("G"), "G", base)
@@ -321,8 +334,7 @@ def serialize_extension(
 
 def load_wact_pair(path: str) -> WActPair:
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, encoding="utf-8") as fh:
-        lines = _Lines(fh.read(), path)
+    lines = _Lines(_read_text(path), path)
     _keyword(lines, lines.next("wact header"), "wact")
     N, _ = _reference(lines, lines.next("N"), "N", base)
     H, _ = _reference(lines, lines.next("H"), "H", base)

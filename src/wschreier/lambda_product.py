@@ -32,6 +32,7 @@ from .monoid import (
     center,
     check_hom,
     check_monoid,
+    generating_plan,
     idempotents,
     inverse_structure,
 )
@@ -287,76 +288,68 @@ def semigroup_endomorphisms(M: FiniteMonoid) -> tuple:
     return tuple(sorted(out))
 
 
-def _generating_plan(M: FiniteMonoid):
-    """Greedy least-index generators and a product plan covering M."""
-    how = {M.identity: ("one",)}
-    order = [M.identity]
-    gens = []
-    while len(order) < M.size:
-        progressed = True
-        while progressed:
-            progressed = False
-            for a in list(order):
-                for b in list(order):
-                    c = M.table[a][b]
-                    if c not in how:
-                        how[c] = ("mul", a, b)
-                        order.append(c)
-                        progressed = True
-        if len(order) == M.size:
-            break
-        g = min(x for x in M.elements if x not in how)
-        how[g] = ("gen", len(gens))
-        gens.append(g)
-        order.append(g)
-    return gens, [(x, how[x]) for x in order]
-
-
 def enumerate_inverse_actions(
     N: InverseStructure, H: InverseStructure, max_candidates: int = 10**7
 ):
     """All inverse-monoid actions of H on N, sorted by action table.
 
-    An action is exactly a monoid hom from H into the semigroup
-    endomorphisms of N under composition, so candidates assign endomorphisms
-    to a greedy generating set of H and extend multiplicatively; the full
-    hom law is then checked.  Refuses with BoundExceeded when the assignment
-    count |End(N)|^#generators exceeds max_candidates.
+    An action is exactly a monoid hom phi from H into the semigroup
+    endomorphisms of N under composition.  The search backtracks over the
+    stages of H's generating plan: stage 0 is the identity and its products,
+    and each later stage assigns one generator an endomorphism and derives,
+    by composition, the elements the plan builds from it.  Each hom law
+    phi(a b) = phi(a) phi(b) is checked once, at the first stage where
+    phi(a), phi(b) and phi(a b) are all known, and a failure prunes every
+    extension of the assignment.  Refuses with BoundExceeded when the
+    assignment count |End(N)|^#generators exceeds max_candidates.
     """
     endos = semigroup_endomorphisms(N.base)
-    gens, plan = _generating_plan(H.base)
+    gens, plan = generating_plan(H.base)
     estimate = len(endos) ** len(gens)
     if estimate > max_candidates:
         raise BoundExceeded(
             "%d candidate assignments exceed cap %d" % (estimate, max_candidates),
             estimate,
         )
-    tn = N.base.size
     th = H.base.table
-    identity_endo = tuple(range(tn))
+    # stages[k] = (generator or None, [(x, a, b) derived as phi(a) phi(b)])
+    stages = [(None, [])]
+    stage_of = {}
+    for x, rule in plan:
+        if rule[0] == "gen":
+            stages.append((x, []))
+        elif rule[0] == "mul":
+            stages[-1][1].append((x, rule[1], rule[2]))
+        stage_of[x] = len(stages) - 1
+    laws = [[] for _ in stages]
+    for a in H.base.elements:
+        for b in H.base.elements:
+            ab = th[a][b]
+            laws[max(stage_of[a], stage_of[b], stage_of[ab])].append((a, b, ab))
+    phi = [None] * H.base.size
+    phi[H.base.identity] = tuple(range(N.base.size))
     found = []
-    for assignment in product(endos, repeat=len(gens)):
-        phi = {}
-        for x, rule in plan:
-            if rule[0] == "one":
-                phi[x] = identity_endo
-            elif rule[0] == "gen":
-                phi[x] = assignment[rule[1]]
-            else:
-                a, b = rule[1], rule[2]
-                fa, fb = phi[a], phi[b]
-                phi[x] = tuple(fa[fb[i]] for i in range(tn))
-        ok = True
-        for a in H.base.elements:
-            fa = phi[a]
-            for b in H.base.elements:
-                fb = phi[b]
-                if phi[th[a][b]] != tuple(fa[fb[i]] for i in range(tn)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(phi[h] for h in H.base.elements))
+
+    def holds(k, endo):
+        gen, steps = stages[k]
+        if gen is not None:
+            phi[gen] = endo
+        for x, a, b in steps:
+            phi[x] = tuple(map(phi[a].__getitem__, phi[b]))
+        for a, b, ab in laws[k]:
+            if phi[ab] != tuple(map(phi[a].__getitem__, phi[b])):
+                return False
+        return True
+
+    def search(k):
+        if k == len(stages):
+            found.append(tuple(phi))
+            return
+        for endo in endos:
+            if holds(k, endo):
+                search(k + 1)
+
+    if holds(0, None):
+        search(1)
     found.sort()
     return tuple(InverseAction(N, H, act) for act in found)

@@ -497,11 +497,17 @@ def _element_fingerprint(M: FiniteMonoid, x: int) -> tuple:
     )
 
 
-def _definition_order(M: FiniteMonoid):
-    """Order elements as identity, then alternately forced products of known
-    elements and fresh least-index generators."""
-    how = {M.identity: "identity"}
+def generating_plan(M: FiniteMonoid):
+    """Greedy least-index generators and a plan that defines every element.
+
+    Returns (gens, plan).  The plan lists every element once, as (x, rule):
+    the identity first with rule ("one",), then alternately the products of
+    known elements, each as ("mul", a, b) with a and b earlier in the plan,
+    and the least-index element not yet reached, as ("gen", i) for gens[i].
+    """
+    how = {M.identity: ("one",)}
     order = [M.identity]
+    gens = []
     while len(order) < M.size:
         progressed = True
         while progressed:
@@ -510,15 +516,16 @@ def _definition_order(M: FiniteMonoid):
                 for b in list(order):
                     c = M.table[a][b]
                     if c not in how:
-                        how[c] = (a, b)
+                        how[c] = ("mul", a, b)
                         order.append(c)
                         progressed = True
         if len(order) == M.size:
             break
         g = min(x for x in M.elements if x not in how)
-        how[g] = None
+        how[g] = ("gen", len(gens))
+        gens.append(g)
         order.append(g)
-    return order, how
+    return gens, [(x, how[x]) for x in order]
 
 
 def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
@@ -534,21 +541,20 @@ def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
     fpb = [_element_fingerprint(B, x) for x in B.elements]
     if sorted(fpa) != sorted(fpb):
         return False
-    order, how = _definition_order(A)
+    _, plan = generating_plan(A)
     ta, tb = A.table, B.table
     img = {A.identity: B.identity}
     used = {B.identity}
 
     def place(i):
-        if i == len(order):
+        if i == len(plan):
             return all(
                 img[ta[a][b]] == tb[img[a]][img[b]] for a in A.elements for b in A.elements
             )
-        x = order[i]
-        rule = how[x]
-        if rule == "identity":
+        x, rule = plan[i]
+        if rule[0] == "one":
             return place(i + 1)
-        if rule is None:
+        if rule[0] == "gen":
             for y in B.elements:
                 if y in used or fpb[y] != fpa[x]:
                     continue
@@ -559,7 +565,7 @@ def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
                 del img[x]
                 used.discard(y)
             return False
-        a, b = rule
+        _, a, b = rule
         y = tb[img[a]][img[b]]
         if y in used:
             return False

@@ -12,8 +12,8 @@ import itertools
 import pytest
 
 from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
-from wschreier.monoid import FiniteMonoid, inverse_structure
-from wschreier.lambda_product import InverseAction
+from wschreier.monoid import BoundExceeded, FiniteMonoid, generating_plan, inverse_structure
+from wschreier.lambda_product import InverseAction, semigroup_endomorphisms
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +252,52 @@ def naive_inverse_actions(N: FiniteMonoid, H: FiniteMonoid):
         if ok:
             found.append(act)
     return found
+
+
+def reference_inverse_actions(N, H, max_candidates: int = 10**7):
+    """The generate-and-test enumerator that the hom search replaced, kept
+    as the reference for its output, order and refusals.
+
+    Every assignment of endomorphisms to the generators of H is extended
+    along the generating plan, and only then are all |H|^2 hom laws checked.
+    """
+    endos = semigroup_endomorphisms(N.base)
+    gens, plan = generating_plan(H.base)
+    estimate = len(endos) ** len(gens)
+    if estimate > max_candidates:
+        raise BoundExceeded(
+            "%d candidate assignments exceed cap %d" % (estimate, max_candidates),
+            estimate,
+        )
+    tn = N.base.size
+    th = H.base.table
+    identity_endo = tuple(range(tn))
+    found = []
+    for assignment in itertools.product(endos, repeat=len(gens)):
+        phi = {}
+        for x, rule in plan:
+            if rule[0] == "one":
+                phi[x] = identity_endo
+            elif rule[0] == "gen":
+                phi[x] = assignment[rule[1]]
+            else:
+                a, b = rule[1], rule[2]
+                fa, fb = phi[a], phi[b]
+                phi[x] = tuple(fa[fb[i]] for i in range(tn))
+        ok = True
+        for a in H.base.elements:
+            fa = phi[a]
+            for b in H.base.elements:
+                fb = phi[b]
+                if phi[th[a][b]] != tuple(fa[fb[i]] for i in range(tn)):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            found.append(tuple(phi[h] for h in H.base.elements))
+    found.sort()
+    return tuple(InverseAction(N, H, act) for act in found)
 
 
 def naive_weakly_schreier(ext) -> bool:

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+import wschreier
 from conftest import assert_dag_transitively_reduced
 from wschreier import (
     ActionTable,
@@ -417,6 +418,8 @@ def run_cli(workdir, args, seed, extra_env=None):
     env = os.environ.copy()
     env.pop("WSCHREIER_BOUND", None)
     env["PYTHONHASHSEED"] = seed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wschreier.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if extra_env:
         env.update(extra_env)
     return subprocess.run(

@@ -379,6 +379,19 @@ class TestSubprocess:
         )
         assert proc.returncode == 2
 
+    def test_non_utf8_input_is_a_format_error(self, files):
+        (files / "bad.mon").write_bytes(b"monoid m 1\nidentity 0\nrow 0: 0\nlabels: \xff\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wschreier", "check", str(files / "bad.mon")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("error: ")
+        assert proc.stdout.count("\n") == 1
+        assert "4:9" in proc.stdout
+        assert proc.stderr == ""
+
     def test_output_independent_of_hash_seed(self, files):
         argv = [
             sys.executable,

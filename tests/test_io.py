@@ -275,3 +275,59 @@ class TestWactFormat:
         with pytest.raises(ParseError) as info:
             load_wact_pair(path)
         assert "duplicate fiber" in str(info.value)
+
+
+class TestEncoding:
+    # One valid file of each kind; the test swaps its last character for a
+    # byte that is not UTF-8.
+    VALID = [
+        ("m.mon", load_monoid, SL3_TEXT),
+        ("f.map", load_hom, "map f\nsource sl2.mon\ntarget sl3.mon\nmap: 0 1\n"),
+        (
+            "a.act",
+            load_action,
+            "action a\nN sl2.mon\nH sl2.mon\n"
+            "act 0 0 -> 0\nact 0 1 -> 1\nact 1 0 -> 0\nact 1 1 -> 0\n",
+        ),
+        (
+            "e.ext",
+            load_extension,
+            "extension e\nN sl2.mon\nG sl2.mon\nH sl2.mon\nk: 0 1\ne: 0 1\ns: 0 1\n",
+        ),
+        (
+            "p.wact",
+            load_wact_pair,
+            "wact p\nN sl2.mon\nH sl2.mon\nfiber 0: {0} {1}\nfiber 1: {0 1}\n"
+            "action 0 0 -> 0\naction 0 1 -> 1\naction 1 0 -> 0\naction 1 1 -> 0\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("name,loader,text", VALID, ids=[v[0] for v in VALID])
+    def test_non_utf8_byte_is_a_parse_error(self, mon_dir, name, loader, text):
+        path = mon_dir / name
+        loader(write(path, text))
+        path.write_bytes(text.encode("utf-8")[:-2] + b"\xff\n")
+        with pytest.raises(ParseError) as info:
+            loader(str(path))
+        lines = text.splitlines()
+        assert (info.value.file, info.value.line, info.value.col) == (
+            str(path),
+            len(lines),
+            len(lines[-1]),
+        )
+        assert "UTF-8" in str(info.value)
+
+    def test_position_counts_characters_and_crlf_lines(self, tmp_path):
+        path = tmp_path / "m.mon"
+        path.write_bytes(b"monoid m 1\r\nidentity 0\r\nrow 0: 0\r\nlabels: \xc3\xa9\xff\r\n")
+        with pytest.raises(ParseError) as info:
+            load_monoid(str(path))
+        assert (info.value.line, info.value.col) == (4, 10)
+
+    def test_bad_byte_in_referenced_file(self, mon_dir):
+        (mon_dir / "sl2.mon").write_bytes(b"monoid sl2 2\n\xff")
+        path = write(mon_dir / "f.map", "map f\nsource sl2.mon\ntarget sl3.mon\nmap: 0 1\n")
+        with pytest.raises(ParseError) as info:
+            load_hom(path)
+        assert info.value.file.endswith("sl2.mon")
+        assert (info.value.line, info.value.col) == (2, 1)

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import make_inverse_action, naive_inverse_actions
+from conftest import make_inverse_action, naive_inverse_actions, reference_inverse_actions
 from wschreier.catalog import (
+    catalog_inverse_monoids,
     chain_lattice,
     cyclic_group,
     right_zero_adjoined,
@@ -16,9 +18,12 @@ from wschreier.extension import (
 )
 from wschreier.monoid import (
     BoundExceeded,
+    FiniteMonoid,
     FormatError,
     MonoidHom,
     PreconditionError,
+    direct_product,
+    generating_plan,
     inverse_structure,
     zero_hom,
 )
@@ -282,3 +287,51 @@ class TestEnumeration:
         with pytest.raises(BoundExceeded) as info:
             enumerate_inverse_actions(n_inv, n_inv, max_candidates=1)
         assert info.value.estimate > 1
+
+    def test_matches_reference_on_catalog(self):
+        catalog = catalog_inverse_monoids(4)
+        for N in catalog:
+            for H in catalog:
+                assert enumerate_inverse_actions(N, H) == reference_inverse_actions(N, H)
+
+    def test_matches_reference_on_relabelled_small_pairs(self):
+        rng = random.Random(20200505)
+
+        def relabel(M):
+            rest = [a for a in M.elements if a != M.identity]
+            image = rest[:]
+            rng.shuffle(image)
+            p = list(M.elements)
+            for a, b in zip(rest, image):
+                p[a] = b
+            table = [[0] * M.size for _ in M.elements]
+            for a in M.elements:
+                for b in M.elements:
+                    table[p[a]][p[b]] = p[M.table[a][b]]
+            M2 = FiniteMonoid(M.size, M.identity, tuple(map(tuple, table)))
+            return inverse_structure(M2).expect("relabelled")
+
+        small = [S.base for S in catalog_inverse_monoids(3)]
+        for N in small:
+            for H in small:
+                N2, H2 = relabel(N), relabel(H)
+                assert enumerate_inverse_actions(N2, H2) == reference_inverse_actions(N2, H2)
+
+    def test_bound_matches_reference(self, sl3, sl2):
+        N = inverse_structure(sl3).value
+        H = inverse_structure(direct_product(sl2, sl2)).value
+        gens, _ = generating_plan(H.base)
+        estimate = len(semigroup_endomorphisms(sl3)) ** len(gens)
+        assert len(gens) == 2
+        for cap in (1, estimate - 1):
+            with pytest.raises(BoundExceeded) as new:
+                enumerate_inverse_actions(N, H, max_candidates=cap)
+            with pytest.raises(BoundExceeded) as ref:
+                reference_inverse_actions(N, H, max_candidates=cap)
+            assert new.value.estimate == ref.value.estimate == estimate
+            assert str(new.value) == str(ref.value) == (
+                "%d candidate assignments exceed cap %d" % (estimate, cap)
+            )
+        assert enumerate_inverse_actions(N, H, max_candidates=estimate) == (
+            reference_inverse_actions(N, H, max_candidates=estimate)
+        )
