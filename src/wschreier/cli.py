@@ -31,6 +31,7 @@ from .monoid import (
     FormatError,
     PreconditionError,
     center,
+    check_hom,
     check_monoid,
     idempotents,
     inverse_structure,
@@ -176,8 +177,6 @@ def cmd_glue(args) -> int:
             print("violation %s" % fr.violations[0])
             return 1
     print("frames: yes")
-    from .monoid import check_hom
-
     hv = check_hom(f.source, f.target, f.map)
     if not hv.ok:
         print("meet-hom: no")
@@ -278,8 +277,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_join(args) -> int:
-    from .monoid import check_hom
-
     f = wio.load_hom(args.f, validate=False)
     g = wio.load_hom(args.g, validate=False)
     if f.source != g.source or f.target != g.target:

@@ -25,6 +25,7 @@ from .monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    check_hom,
     check_monoid,
 )
 from .extension import SplitExtension, SchreierRetraction, verify_split_extension
@@ -98,8 +99,6 @@ def check_frame(M: FiniteMonoid) -> Verdict:
 def _require_frames(f: MonoidHom):
     H = check_frame(f.source).expect("check_frame(source)")
     N = check_frame(f.target).expect("check_frame(target)")
-    from .monoid import check_hom
-
     check_hom(f.source, f.target, f.map).expect("check_hom")
     return H, N
 

@@ -117,7 +117,11 @@ def _as_table(table) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class FiniteMonoid:
-    """A monoid on indices 0..size-1 given by its Cayley table."""
+    """A monoid on indices 0..size-1 given by its Cayley table.
+
+    elements is range(size), computed once; it takes no part in equality,
+    hashing or repr.
+    """
 
     size: int
     identity: int
@@ -135,6 +139,7 @@ class FiniteMonoid:
             if len(labels) != self.size:
                 raise FormatError("expected %d labels, got %d" % (self.size, len(labels)))
             object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "elements", range(self.size))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -143,10 +148,6 @@ class FiniteMonoid:
         if self.labels is not None:
             return self.labels[a]
         return str(a)
-
-    @property
-    def elements(self) -> range:
-        return range(self.size)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMonoid):

@@ -10,13 +10,15 @@ satisfying the six congruence-and-action laws below, each only up to E.
 
 build_extension and extract_waction convert between pairs (E, alpha) and
 weakly Schreier extensions; waction_leq is the order matching the existence
-of extension morphisms; enumerate_wactions streams every pair for a given
-(N, H), one canonical action per equivalence class.
+of extension morphisms; enumerate_wactions lists every pair for a given
+(N, H), one canonical action per equivalence class, found by searching
+only tables whose cells are the least members of their fiber classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
 from itertools import product
 
 from .monoid import (
@@ -383,40 +385,85 @@ def admissible_relations(N: FiniteMonoid, H: FiniteMonoid):
             yield E
 
 
-def compatible_actions(E: AdmissibleRelation):
-    """All compatible action tables over E, in lexicographic table order.
+def _table(N: FiniteMonoid, H: FiniteMonoid, flat: tuple) -> ActionTable:
+    """The action table whose rows are consecutive |N|-slices of flat."""
+    size = N.size
+    return ActionTable(N, H, tuple(flat[i : i + size] for i in range(0, len(flat), size)))
 
-    The identity row is forced to be the identity map (laws 5 and 6 against
-    the discrete identity fiber); the column at 1 in N is restricted to the
-    class of 1 in each fiber (law 5) before the full check runs.
-    """
+
+def _class_minimal_actions(E: AdmissibleRelation):
+    """The compatible tables over an admissible E whose every cell is the
+    least member of its fiber class, in lexicographic table order: one per
+    class (see enumerate_wactions)."""
     N, H = E.N, E.H
     one_n, one_h = N.identity, H.identity
-    id_row = tuple(N.elements)
     choices = []
     for h in H.elements:
+        f = E.fibers[h]
+        least = tuple(block[0] for block in E.blocks(h))
         for n in N.elements:
             if h == one_h:
-                choices.append((id_row[n],))
+                choices.append((n,))
             elif n == one_n:
-                f = E.fibers[h]
-                choices.append(tuple(v for v in N.elements if f[v] == f[one_n]))
+                choices.append((least[f[one_n]],))
             else:
-                choices.append(tuple(N.elements))
+                choices.append(least)
     for flat in product(*choices):
-        act = tuple(flat[h * N.size : (h + 1) * N.size] for h in H.elements)
-        a = ActionTable(N, H, act)
+        a = _table(N, H, flat)
         if check_compatible_action(E, a).ok:
             yield a
+
+
+def compatible_actions(E: AdmissibleRelation):
+    """All compatible action tables over an admissible E, in lexicographic
+    table order; PreconditionError when E is not admissible.
+
+    Compatibility is a class invariant (proof sketch in enumerate_wactions):
+    alpha' is compatible whenever alpha is and alpha'(h,n) ~ alpha(h,n) in
+    fiber h for all h and n.  So one search finds the class minima, each
+    class is expanded cell by cell over its members, and the expansions are
+    merged into one sorted stream.  Every table is checked again before it
+    is yielded; a failure raises ConsistencyError.
+    """
+    check_admissible(E).expect("check_admissible")
+    N, H = E.N, E.H
+    blocks = tuple(E.blocks(h) for h in H.elements)
+    fibers = E.fibers
+
+    def expansion(rep):
+        return product(
+            *(blocks[h][fibers[h][v]] for h in H.elements for v in rep.act[h])
+        )
+
+    for flat in merge(*(expansion(rep) for rep in _class_minimal_actions(E))):
+        a = _table(N, H, flat)
+        verdict = check_compatible_action(E, a)
+        if not verdict.ok:
+            raise ConsistencyError(
+                "class member fails compatibility: %s" % (verdict.violations[0],)
+            )
+        yield a
 
 
 def enumerate_wactions(N: FiniteMonoid, H: FiniteMonoid, bound: int = DEFAULT_BOUND) -> tuple:
     """Every pair (E, [alpha]) for (N, H), one representative action per
     class, ordered by fiber partitions then by action table.
 
-    The representative is the lexicographically least table of its class
-    (enumeration order makes it the first seen).  Refuses with BoundExceeded
-    when |N| * |H| > bound, reporting the raw candidate-count estimate.
+    Lemma: compatibility is a class invariant.  If alpha is compatible with
+    an admissible E and alpha'(h,n) ~ alpha(h,n) in fiber h for all h and n,
+    then alpha' is compatible.  With the laws numbered as in
+    check_compatible_action, laws 1 and 3 follow from left-translation
+    stability of the fibers (with law 1 for alpha), laws 2 and 4 from law 2
+    for alpha and the fiber over h refining the fiber over h*h', and laws 5
+    and 6 from the discrete identity fiber.
+
+    So the lexicographically least table of a class is its cellwise class
+    minimum.  The search visits only tables made of class minima (identity
+    row forced, the column at 1 in N the least member of 1's class), checks
+    each one with check_compatible_action, and keeps every table that
+    passes: exactly one per class, with no deduplication.  Refuses with
+    BoundExceeded when |N| * |H| > bound, reporting the raw candidate-count
+    estimate.
     """
     if N.size * H.size > bound:
         estimate = _bell(N.size) ** (H.size - 1) * N.size ** ((H.size - 1) * N.size)
@@ -425,13 +472,6 @@ def enumerate_wactions(N: FiniteMonoid, H: FiniteMonoid, bound: int = DEFAULT_BO
             % (N.size * H.size, bound, estimate),
             estimate,
         )
-    out = []
-    for E in admissible_relations(N, H):
-        seen = set()
-        for a in compatible_actions(E):
-            sig = action_signature(E, a)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            out.append(WActPair(E, a))
-    return tuple(out)
+    return tuple(
+        WActPair(E, a) for E in admissible_relations(N, H) for a in _class_minimal_actions(E)
+    )

@@ -14,6 +14,15 @@ import pytest
 from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
 from wschreier.monoid import BoundExceeded, FiniteMonoid, generating_plan, inverse_structure
 from wschreier.lambda_product import InverseAction, semigroup_endomorphisms
+from wschreier.waction import (
+    DEFAULT_BOUND,
+    ActionTable,
+    WActPair,
+    _bell,
+    action_signature,
+    admissible_relations,
+    check_compatible_action,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +307,66 @@ def reference_inverse_actions(N, H, max_candidates: int = 10**7):
             found.append(tuple(phi[h] for h in H.base.elements))
     found.sort()
     return tuple(InverseAction(N, H, act) for act in found)
+
+
+def reference_compatible_actions(E):
+    """The generate-and-test loop that the class-minimum search replaced:
+    every table with the identity row forced and the column at 1 in N
+    inside 1's class, fully checked, in lexicographic table order."""
+    N, H = E.N, E.H
+    one_n, one_h = N.identity, H.identity
+    choices = []
+    for h in H.elements:
+        for n in N.elements:
+            if h == one_h:
+                choices.append((n,))
+            elif n == one_n:
+                f = E.fibers[h]
+                choices.append(tuple(v for v in N.elements if f[v] == f[one_n]))
+            else:
+                choices.append(tuple(N.elements))
+    for flat in itertools.product(*choices):
+        act = tuple(flat[h * N.size : (h + 1) * N.size] for h in H.elements)
+        a = ActionTable(N, H, act)
+        if check_compatible_action(E, a).ok:
+            yield a
+
+
+def reference_wactions(N, H, bound: int = DEFAULT_BOUND):
+    """The generate-and-test enumerator that the class-minimum search
+    replaced, kept as the reference for its output, order and refusals.
+
+    Every compatible table is generated and the first one of each class
+    (equal action signatures) is kept.
+    """
+    if N.size * H.size > bound:
+        estimate = _bell(N.size) ** (H.size - 1) * N.size ** ((H.size - 1) * N.size)
+        raise BoundExceeded(
+            "|N|*|H| = %d exceeds bound %d (about %d raw candidates)"
+            % (N.size * H.size, bound, estimate),
+            estimate,
+        )
+    out = []
+    for E in admissible_relations(N, H):
+        seen = set()
+        for a in reference_compatible_actions(E):
+            sig = action_signature(E, a)
+            if sig in seen:
+                continue
+            seen.add(sig)
+            out.append(WActPair(E, a))
+    return tuple(out)
+
+
+def relabelled(M, rng):
+    """M under a random permutation of its elements, identity included."""
+    p = list(M.elements)
+    rng.shuffle(p)
+    table = [[0] * M.size for _ in M.elements]
+    for a in M.elements:
+        for b in M.elements:
+            table[p[a]][p[b]] = p[M.table[a][b]]
+    return FiniteMonoid(M.size, p[M.identity], tuple(map(tuple, table)))
 
 
 def naive_weakly_schreier(ext) -> bool:

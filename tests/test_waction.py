@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     blocks_to_classes,
@@ -8,9 +10,12 @@ from conftest import (
     naive_compatible,
     naive_wschreier_pairs,
     normalize_classes,
+    reference_compatible_actions,
+    reference_wactions,
+    relabelled,
     set_partitions,
 )
-from wschreier.catalog import chain_lattice, cyclic_group, diamond_lattice
+from wschreier.catalog import catalog_monoids, chain_lattice, cyclic_group, diamond_lattice
 from wschreier.extension import (
     direct_product_extension,
     extension_morphism,
@@ -18,8 +23,9 @@ from wschreier.extension import (
     find_retraction,
     verify_split_extension,
 )
-from wschreier.monoid import BoundExceeded, FormatError
+from wschreier.monoid import BoundExceeded, FormatError, PreconditionError
 from wschreier.waction import (
+    DEFAULT_BOUND,
     ActionTable,
     AdmissibleRelation,
     WActPair,
@@ -34,6 +40,14 @@ from wschreier.waction import (
     extract_waction,
     waction_leq,
 )
+
+# every ordered pair of the size <= 4 catalog within the default bound
+IN_BOUND = [
+    (N, H)
+    for N in catalog_monoids(4)
+    for H in catalog_monoids(4)
+    if N.size * H.size <= DEFAULT_BOUND
+]
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +234,56 @@ class TestEnumeration:
             if naive_compatible(sl3, sl2, collapse_E.fibers, act):
                 expected.add(act)
         assert found == expected
+
+    def test_compatible_actions_refuses_inadmissible_relation(self, sl3, sl2):
+        E = AdmissibleRelation(sl3, sl2, ((0, 0, 1), (0, 0, 0)))
+        with pytest.raises(PreconditionError):
+            next(compatible_actions(E))
+
+    def test_compatible_actions_match_reference(self, sl3, sl2, c2):
+        for N, H in ((sl3, sl2), (sl2, sl3), (c2, sl2), (sl2, c2)):
+            for E in admissible_relations(N, H):
+                assert list(compatible_actions(E)) == list(reference_compatible_actions(E))
+
+    def test_matches_reference_on_catalog(self, enum_cache):
+        total = 0
+        for N, H in IN_BOUND:
+            got = enum_cache.wactions(N, H)
+            assert got == reference_wactions(N, H)
+            total += len(got)
+        assert (len(IN_BOUND), total) == (310, 1993)
+
+    def test_matches_reference_on_relabelled_catalog(self):
+        rng = random.Random(20200505)
+        for N, H in IN_BOUND:
+            N2, H2 = relabelled(N, rng), relabelled(H, rng)
+            assert enumerate_wactions(N2, H2) == reference_wactions(N2, H2)
+
+    def test_bound_matches_reference(self, sl3):
+        for N, H, bound in ((diamond_lattice(), sl3, DEFAULT_BOUND), (sl3, sl3, 8)):
+            with pytest.raises(BoundExceeded) as new:
+                enumerate_wactions(N, H, bound)
+            with pytest.raises(BoundExceeded) as ref:
+                reference_wactions(N, H, bound)
+            assert new.value.estimate == ref.value.estimate
+            assert str(new.value) == str(ref.value)
+        assert enumerate_wactions(sl3, sl3, 9) == reference_wactions(sl3, sl3, 9)
+
+    @given(st.sampled_from(IN_BOUND), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_class_members_are_compatible(self, enum_cache, monoids, data):
+        pair = data.draw(st.sampled_from(enum_cache.wactions(*monoids)))
+        E, alpha = pair.E, pair.alpha
+        act = tuple(
+            tuple(
+                data.draw(st.sampled_from(E.blocks(h)[E.fibers[h][v]]))
+                for v in alpha.act[h]
+            )
+            for h in E.H.elements
+        )
+        member = ActionTable(E.N, E.H, act)
+        assert check_compatible_action(E, member).ok
+        assert actions_equivalent(E, alpha, member)
 
     def test_every_enumerated_pair_builds(self, enum_cache, sl3, sl2):
         for p in enum_cache.wactions(sl3, sl2):
