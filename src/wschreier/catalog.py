@@ -11,13 +11,10 @@ from itertools import product
 
 from .monoid import (
     FiniteMonoid,
-    InverseStructure,
-    MonoidHom,
     PreconditionError,
     canonical_form,
     center,
     check_hom,
-    check_monoid,
     idempotents,
     inverse_structure,
 )

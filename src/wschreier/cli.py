@@ -13,8 +13,10 @@ Verbs:
     wschreier poset <N.mon> <H.mon> --dot <out.dot>
 
 Exit codes: 0 on success, 1 on mathematical failure (law violation, missing
-morphism input, not weakly Schreier), 2 on input or format errors.  Output
-is deterministic: identical invocations produce identical bytes.  The
+morphism input, not weakly Schreier), 2 on input or format errors, 3 on an
+internal error: a constructed output failed its own verification, which is
+a bug, reported as one line "error: internal: <message>".  Output is
+deterministic: identical invocations produce identical bytes.  The
 enumeration bound defaults to 9 and can be overridden through the
 WSCHREIER_BOUND environment variable.
 """
@@ -28,6 +30,7 @@ import sys
 
 from .monoid import (
     BoundExceeded,
+    ConsistencyError,
     FormatError,
     PreconditionError,
     center,
@@ -37,16 +40,23 @@ from .monoid import (
     inverse_structure,
 )
 from .extension import find_retraction, extension_morphism, verify_split_extension
-from .waction import DEFAULT_BOUND, enumerate_wactions, waction_leq
+from .waction import (
+    DEFAULT_BOUND,
+    build_extension,
+    check_admissible,
+    check_compatible_action,
+    enumerate_wactions,
+    extract_waction,
+    waction_leq,
+)
 from .lambda_product import (
     artin_like_action,
     check_inverse_action,
     enumerate_inverse_actions,
     join_hom,
     lambda_product,
-    waction_of,
 )
-from .frames import check_frame
+from .frames import artin_glueing, check_frame
 from . import io as wio
 
 __all__ = ["main", "run", "emit_dot"]
@@ -183,8 +193,6 @@ def cmd_glue(args) -> int:
         print("violation %s" % hv.violations[0])
         return 1
     print("meet-hom: yes")
-    from .frames import artin_glueing
-
     _, ext = artin_glueing(f)
     print("carrier: %d" % ext.G.size)
     print("weakly-schreier: yes")
@@ -220,8 +228,6 @@ def cmd_extract(args) -> int:
         return 1
     print("weakly-schreier: yes")
     print("schreier: %s" % ("yes" if ret.value.unique else "no"))
-    from .waction import extract_waction
-
     pair = extract_waction(verdict.value, ret.value)
     n_ref, h_ref = _monoid_refs(args.extension)
     sys.stdout.write(wio.serialize_wact_pair(pair, n_ref, h_ref, "extracted"))
@@ -242,8 +248,6 @@ def _load_comparand(path):
             return "action: invalid (%s)" % path, None
         return None, lambda_product(verdict.value).extension
     if path.endswith(".wact"):
-        from .waction import build_extension, check_admissible, check_compatible_action
-
         pair = wio.load_wact_pair(path)
         if not check_admissible(pair.E).ok:
             return "admissible: no (%s)" % path, None
@@ -461,21 +465,15 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except wio.ParseError as exc:
-        print("error: %s" % exc)
-        return 2
-    except BoundExceeded as exc:
-        print("error: %s" % exc)
-        return 2
-    except FormatError as exc:
+    except (FormatError, BoundExceeded, OSError) as exc:  # ParseError is a FormatError
         print("error: %s" % exc)
         return 2
     except PreconditionError as exc:
         print("error: %s" % exc)
         return 1
-    except OSError as exc:
-        print("error: %s" % exc)
-        return 2
+    except ConsistencyError as exc:
+        print("error: internal: %s" % exc)
+        return 3
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .monoid import (
+    ConsistencyError,
     FiniteMonoid,
     FormatError,
     MonoidHom,
@@ -20,6 +21,8 @@ from .monoid import (
     Verdict,
     Violation,
     check_hom,
+    check_monoid,
+    direct_product,
     is_cokernel,
 )
 
@@ -116,6 +119,37 @@ def verify_split_extension(ext: SplitExtension) -> Verdict:
     return Verdict(replace(ext, verified=True))
 
 
+def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
+    """The verified split extension of H by N on a carrier of pairs (n, h).
+
+    carrier lists the pairs h-major; products[i][j] is the pair of
+    carrier[i] * carrier[j] and s[h] the pair of s(h).  k(n) = (n, 1) and e
+    is the second projection.  Elements are labelled brackets % (n, h).
+    Closure, the monoid laws and the split-extension laws are all checked;
+    any failure raises ConsistencyError naming what was built.
+    """
+    index = {p: i for i, p in enumerate(carrier)}
+    one = H.identity
+    try:
+        table = tuple(tuple(map(index.__getitem__, row)) for row in products)
+        identity = index[(N.identity, one)]
+        kmap = tuple(index[(n, one)] for n in N.elements)
+        smap = tuple(map(index.__getitem__, s))
+    except KeyError as exc:
+        raise ConsistencyError("%s: %r is not a carrier pair" % (what, exc.args[0])) from None
+    labels = tuple(brackets % (N.label(n), H.label(h)) for n, h in carrier)
+    laws = check_monoid(table, identity, labels)
+    if not laws.ok:
+        raise ConsistencyError("%s fails monoid laws: %s" % (what, laws.violations[0]))
+    G = laws.value
+    e = MonoidHom(G, H, tuple(h for _, h in carrier))
+    ext = SplitExtension(N, G, H, MonoidHom(N, G, kmap), e, MonoidHom(H, G, smap))
+    verdict = verify_split_extension(ext)
+    if not verdict.ok:
+        raise ConsistencyError("%s fails extension laws: %s" % (what, verdict.violations[0]))
+    return verdict.value
+
+
 def retraction_candidates(ext: SplitExtension) -> tuple:
     """For each g, the sorted tuple of n with k(n) * s(e(g)) = g."""
     t = ext.G.table
@@ -208,8 +242,6 @@ def extensions_equivalent(a: SplitExtension, b: SplitExtension) -> bool:
 
 def direct_product_extension(N: FiniteMonoid, H: FiniteMonoid) -> SplitExtension:
     """N x H with k(n) = (n, 1), e the second projection, s(h) = (1, h)."""
-    from .monoid import direct_product
-
     G = direct_product(N, H)
     idx = {(n, h): n * H.size + h for n in N.elements for h in H.elements}
     k = MonoidHom(N, G, tuple(idx[(n, H.identity)] for n in N.elements))

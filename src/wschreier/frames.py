@@ -10,7 +10,10 @@ a monoid hom of the underlying meet monoids.
 The Artin glueing Gl(f) of f: H -> N is the frame of pairs
 {(n, h) : n <= f(h)} under componentwise meet.  It is the lambda semidirect
 product of the action h.n = f(h) meet n, and pointwise meet of maps gives
-the join of glueings.
+the join of glueings.  artin_glueing builds its own carrier and meet and
+hands them to the extension builder shared with lambda_product and
+build_extension (extension._extension_on_carrier), so glueing_equals_lambda
+compares two independent constructions.
 """
 
 from __future__ import annotations
@@ -18,17 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .monoid import (
-    FiniteMonoid,
-    FormatError,
-    MonoidHom,
     ConsistencyError,
-    PreconditionError,
+    FiniteMonoid,
+    MonoidHom,
     Verdict,
     Violation,
     check_hom,
-    check_monoid,
 )
-from .extension import SplitExtension, SchreierRetraction, verify_split_extension
+from .extension import SchreierRetraction, _extension_on_carrier
 from .lambda_product import LambdaProduct, artin_like_action, join_hom, lambda_product
 
 __all__ = [
@@ -103,6 +103,24 @@ def _require_frames(f: MonoidHom):
     return H, N
 
 
+def _glueing(f: MonoidHom):
+    """The glueing frame, its extension and its carrier pairs, with the
+    frames and f validated first."""
+    _, frame_n = _require_frames(f)
+    H, N = f.source, f.target
+    tn, th = N.table, H.table
+    leq = frame_n.leq
+    carrier = tuple((n, h) for h in H.elements for n in N.elements if leq[n][f.map[h]])
+    products = [[(tn[n1][n2], th[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
+    s = [(f.map[h], h) for h in H.elements]
+    ext = _extension_on_carrier(N, H, carrier, products, s, "glueing")
+    glued = check_frame(ext.G)
+    if not glued.ok:
+        raise ConsistencyError("glueing carrier fails frame laws: %s" % (glued.violations[0],))
+    SchreierRetraction(ext, tuple(n for n, _ in carrier), unique=False)
+    return glued.value, ext, carrier
+
+
 def artin_glueing(f: MonoidHom):
     """The glueing frame of a meet-preserving f: H -> N and its extension.
 
@@ -112,52 +130,18 @@ def artin_glueing(f: MonoidHom):
     SplitExtension); the frame laws of the carrier are re-checked and a
     failure raises ConsistencyError.
     """
-    frame_h, frame_n = _require_frames(f)
-    H, N = f.source, f.target
-    carrier = [
-        (n, h) for h in H.elements for n in N.elements if frame_n.leq[n][f.map[h]]
-    ]
-    index = {p: i for i, p in enumerate(carrier)}
-    tn, th = N.table, H.table
-    table = tuple(
-        tuple(index[(tn[n1][n2], th[h1][h2])] for n2, h2 in carrier) for n1, h1 in carrier
-    )
-    labels = tuple("(%s,%s)" % (N.label(n), H.label(h)) for n, h in carrier)
-    laws = check_monoid(table, index[(N.identity, H.identity)], labels)
-    if not laws.ok:
-        raise ConsistencyError("glueing carrier fails monoid laws: %s" % (laws.violations[0],))
-    G = laws.value
-    glued = check_frame(G)
-    if not glued.ok:
-        raise ConsistencyError("glueing carrier fails frame laws: %s" % (glued.violations[0],))
-    k = MonoidHom(N, G, tuple(index[(n, H.identity)] for n in N.elements))
-    e = MonoidHom(G, H, tuple(h for _, h in carrier))
-    s = MonoidHom(H, G, tuple(index[(f.map[h], h)] for h in H.elements))
-    ext = SplitExtension(N, G, H, k, e, s)
-    verdict = verify_split_extension(ext)
-    if not verdict.ok:
-        raise ConsistencyError("glueing fails extension laws: %s" % (verdict.violations[0],))
-    ext = verdict.value
-    SchreierRetraction(ext, tuple(n for n, _ in carrier), unique=False)
-    return glued.value, ext
+    frame, ext, _ = _glueing(f)
+    return frame, ext
 
 
 def glueing_equals_lambda(f: MonoidHom) -> bool:
     """The glueing of f and the lambda product of h.n = f(h) meet n are the
     same labelled structure: same carrier pairs in the same order, same
     table, and the same k, e, s maps."""
-    _, ext = artin_glueing(f)
+    _, ext, carrier = _glueing(f)
     lam: LambdaProduct = lambda_product(artin_like_action(f))
-    frame_n = check_frame(f.target).expect("check_frame(target)")
-    glue_carrier = tuple(
-        (n, h)
-        for h in f.source.elements
-        for n in f.target.elements
-        if frame_n.leq[n][f.map[h]]
-    )
-    same_carrier = lam.carrier == glue_carrier
     return (
-        same_carrier
+        lam.carrier == carrier
         and lam.extension.G.table == ext.G.table
         and lam.extension.G.identity == ext.G.identity
         and lam.extension.k.map == ext.k.map

@@ -9,9 +9,11 @@ not required.  The lambda semidirect product lives on the carrier
 
 and is a weakly Schreier extension of H by N via k(n) = (n, 1), e = second
 projection, s(h) = ((h h^-1).1, h), with the first projection as a Schreier
-retraction.  Artin-like actions h.n = f(h) n, for f a hom into the central
-idempotents of N, carry binary joins: the pointwise product of f and g is
-the join of the induced extensions.
+retraction.  lambda_product assembles and verifies it with the extension
+builder shared with frames.artin_glueing and waction.build_extension
+(extension._extension_on_carrier).  Artin-like actions h.n = f(h) n, for f
+a hom into the central idempotents of N, carry binary joins: the pointwise
+product of f and g is the join of the induced extensions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from itertools import product
 
 from .monoid import (
     BoundExceeded,
-    ConsistencyError,
     FiniteMonoid,
     FormatError,
     InverseStructure,
@@ -31,12 +32,16 @@ from .monoid import (
     Violation,
     center,
     check_hom,
-    check_monoid,
     generating_plan,
     idempotents,
     inverse_structure,
 )
-from .extension import SchreierRetraction, SplitExtension, verify_split_extension
+from .extension import (
+    SchreierRetraction,
+    SplitExtension,
+    _extension_on_carrier,
+    retraction_candidates,
+)
 from .waction import ActionTable, AdmissibleRelation, WActPair
 
 __all__ = [
@@ -65,16 +70,7 @@ class InverseAction:
     act: tuple
 
     def __post_init__(self):
-        act = tuple(tuple(row) for row in self.act)
-        if len(act) != self.H.base.size:
-            raise FormatError("expected one action row per element of H")
-        for row in act:
-            if len(row) != self.N.base.size:
-                raise FormatError("action rows must cover N")
-            for v in row:
-                if not 0 <= v < self.N.base.size:
-                    raise FormatError("action value %r out of range" % (v,))
-        object.__setattr__(self, "act", act)
+        object.__setattr__(self, "act", ActionTable(self.N.base, self.H.base, self.act).act)
 
     def __call__(self, h: int, n: int) -> int:
         return self.act[h][n]
@@ -130,61 +126,32 @@ class LambdaProduct:
         return self.carrier.index(pair)
 
 
-def _lambda_entry(a: InverseAction, n1, h1, n2, h2):
-    tn, th = a.N.base.table, a.H.base.table
-    rows = a.act
-    h = th[h1][h2]
-    return tn[rows[a.idem(h)][n1]][rows[h1][n2]], h
-
-
 def lambda_product(a: InverseAction) -> LambdaProduct:
     """Build and verify the lambda semidirect product of a valid action.
 
-    The action is validated first (PreconditionError if not).  Closure of
-    the product on the carrier, the monoid laws of the carrier, the
-    split-extension laws and weak Schreier-ness are all checked; any failure
-    is a ConsistencyError since each is a theorem for a valid action.
+    The action is validated first (PreconditionError if not).  The carrier,
+    its twisted product and s go to the shared extension builder, which
+    checks closure, the monoid laws and the split-extension laws and raises
+    ConsistencyError on a failure, since each is a theorem for a valid
+    action.  The first projection is then checked as a Schreier retraction.
     """
     check_inverse_action(a.N, a.H, a.act).expect("check_inverse_action")
     N, H = a.N.base, a.H.base
+    tn, th = N.table, H.table
     rows = a.act
-    carrier = [
-        (n, h) for h in H.elements for n in N.elements if rows[a.idem(h)][n] == n
-    ]
-    index = {p: i for i, p in enumerate(carrier)}
-    table = []
+    idem_rows = tuple(rows[a.idem(h)] for h in H.elements)
+    carrier = tuple((n, h) for h in H.elements for n in N.elements if idem_rows[h][n] == n)
+    products = []
     for n1, h1 in carrier:
-        row = []
-        for n2, h2 in carrier:
-            p = _lambda_entry(a, n1, h1, n2, h2)
-            if p not in index:
-                raise ConsistencyError("product %r escapes the carrier" % (p,))
-            row.append(index[p])
-        table.append(tuple(row))
-    labels = tuple("(%s,%s)" % (N.label(n), H.label(h)) for n, h in carrier)
-    identity = index[(N.identity, H.identity)]
-    laws = check_monoid(tuple(table), identity, labels)
-    if not laws.ok:
-        raise ConsistencyError("carrier fails monoid laws: %s" % (laws.violations[0],))
-    G = laws.value
-    k = MonoidHom(N, G, tuple(index[(n, H.identity)] for n in N.elements))
-    e = MonoidHom(G, H, tuple(h for _, h in carrier))
-    s = MonoidHom(H, G, tuple(index[(rows[a.idem(h)][N.identity], h)] for h in H.elements))
-    ext = SplitExtension(N, G, H, k, e, s)
-    verdict = verify_split_extension(ext)
-    if not verdict.ok:
-        raise ConsistencyError(
-            "lambda product fails extension laws: %s" % (verdict.violations[0],)
+        row1, th1 = rows[h1], th[h1]
+        products.append(
+            [(tn[idem_rows[th1[h2]][n1]][row1[n2]], th1[h2]) for n2, h2 in carrier]
         )
-    ext = verdict.value
-    retraction = SchreierRetraction(ext, tuple(n for n, _ in carrier), unique=False)
-    unique = all(
-        sum(1 for n2 in N.elements if G.table[k.map[n2]][s.map[h]] == index[(n, h)]) == 1
-        for n, h in carrier
-    )
-    if unique:
-        retraction = SchreierRetraction(ext, retraction.q, unique=True)
-    return LambdaProduct(a, tuple(carrier), ext, retraction)
+    s = [(idem_rows[h][N.identity], h) for h in H.elements]
+    ext = _extension_on_carrier(N, H, carrier, products, s, "lambda product")
+    unique = all(len(c) == 1 for c in retraction_candidates(ext))
+    retraction = SchreierRetraction(ext, tuple(n for n, _ in carrier), unique)
+    return LambdaProduct(a, carrier, ext, retraction)
 
 
 def canonicalize(a: InverseAction, n: int, h: int):

@@ -9,7 +9,10 @@ fiber over h*y for every y.  A compatible action is a table alpha(h, n)
 satisfying the six congruence-and-action laws below, each only up to E.
 
 build_extension and extract_waction convert between pairs (E, alpha) and
-weakly Schreier extensions; waction_leq is the order matching the existence
+weakly Schreier extensions; build_extension checks that the product of
+classes is well defined and leaves the assembly and verification of the
+extension to the builder shared with lambda_product and frames.artin_glueing
+(extension._extension_on_carrier); waction_leq is the order matching the existence
 of extension morphisms; enumerate_wactions lists every pair for a given
 (N, H), one canonical action per equivalence class, found by searching
 only tables whose cells are the least members of their fiber classes.
@@ -26,13 +29,11 @@ from .monoid import (
     ConsistencyError,
     FiniteMonoid,
     FormatError,
-    MonoidHom,
     Verdict,
     Violation,
     _normalize_classes,
-    check_monoid,
 )
-from .extension import SchreierRetraction, SplitExtension, verify_split_extension
+from .extension import SchreierRetraction, SplitExtension, _extension_on_carrier
 
 __all__ = [
     "AdmissibleRelation",
@@ -256,42 +257,29 @@ def build_extension(p: WActPair) -> SplitExtension:
     N, H, E = p.N, p.H, p.E
     act = p.alpha.act
     tn, th = N.table, H.table
-    classes = []  # (h, class id in fiber) in deterministic order
-    index = {}
+    carrier = []
     members = []
+    least = []  # least[h][n]: the least member of n's class in fiber h
     for h in H.elements:
-        for block in E.blocks(h):
-            index[(h, E.fibers[h][block[0]])] = len(classes)
-            classes.append((h, block[0]))
-            members.append(block)
-    size = len(classes)
-
-    def cls(n, h):
-        return index[(h, E.fibers[h][n])]
-
-    table = [[0] * size for _ in range(size)]
-    for i, (h1, _) in enumerate(classes):
-        for j, (h2, _) in enumerate(classes):
+        blocks = E.blocks(h)
+        carrier.extend((block[0], h) for block in blocks)
+        members.extend(blocks)
+        least.append(tuple(blocks[c][0] for c in E.fibers[h]))
+    products = []
+    for i, (_, h1) in enumerate(carrier):
+        row = []
+        for j, (_, h2) in enumerate(carrier):
             h = th[h1][h2]
-            results = {cls(tn[n1][act[h1][n2]], h) for n1 in members[i] for n2 in members[j]}
+            lh = least[h]
+            results = {lh[tn[n1][act[h1][n2]]] for n1 in members[i] for n2 in members[j]}
             if len(results) != 1:
                 raise ConsistencyError(
                     "product of classes %d and %d is not well defined" % (i, j)
                 )
-            table[i][j] = results.pop()
-    labels = tuple("[%s,%s]" % (N.label(n), H.label(h)) for h, n in classes)
-    laws = check_monoid(tuple(map(tuple, table)), cls(N.identity, H.identity), labels)
-    if not laws.ok:
-        raise ConsistencyError("carrier fails monoid laws: %s" % (laws.violations[0],))
-    G = laws.value
-    k = MonoidHom(N, G, tuple(cls(n, H.identity) for n in N.elements))
-    e = MonoidHom(G, H, tuple(h for h, _ in classes))
-    s = MonoidHom(H, G, tuple(cls(N.identity, h) for h in H.elements))
-    ext = SplitExtension(N, G, H, k, e, s)
-    verdict = verify_split_extension(ext)
-    if not verdict.ok:
-        raise ConsistencyError("built extension fails verification: %s" % (verdict.violations[0],))
-    return verdict.value
+            row.append((results.pop(), h))
+        products.append(row)
+    s = [(least[h][N.identity], h) for h in H.elements]
+    return _extension_on_carrier(N, H, carrier, products, s, "built extension", "[%s,%s]")
 
 
 def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:

@@ -14,7 +14,7 @@ from wschreier.io import (
     serialize_hom,
     serialize_monoid,
 )
-from wschreier.monoid import MonoidHom, direct_product
+from wschreier.monoid import ConsistencyError, MonoidHom, direct_product
 from wschreier.waction import ActionTable
 
 
@@ -162,6 +162,15 @@ class TestLambda:
         code, out = invoke(capsys, "lambda", str(files / "rz.act"))
         assert code == 1
         assert "inverse N: no" in out
+
+    def test_internal_error_exits_3(self, files, capsys, monkeypatch):
+        def broken(action):
+            raise ConsistencyError("lambda product fails monoid laws: boom")
+
+        monkeypatch.setattr("wschreier.cli.lambda_product", broken)
+        code, out = invoke(capsys, "lambda", str(files / "alpha_a.act"))
+        assert code == 3
+        assert out == "action: valid\nerror: internal: lambda product fails monoid laws: boom\n"
 
     def test_emit_is_loadable(self, files, capsys):
         out_path = str(files / "lam.ext")

@@ -5,6 +5,7 @@ from wschreier.catalog import chain_lattice, trivial_monoid
 from wschreier.extension import (
     SchreierRetraction,
     SplitExtension,
+    _extension_on_carrier,
     all_retractions,
     direct_product_extension,
     extension_morphism,
@@ -15,6 +16,7 @@ from wschreier.extension import (
 )
 from wschreier.frames import artin_glueing
 from wschreier.monoid import (
+    ConsistencyError,
     FormatError,
     MonoidHom,
     PreconditionError,
@@ -194,3 +196,43 @@ class TestMorphism:
     def test_requires_weakly_schreier(self, diagonal_section, product_ext):
         with pytest.raises(PreconditionError):
             extension_morphism(diagonal_section, product_ext)
+
+
+class TestCarrierBuilder:
+    """The shared builder behind lambda products, glueings and (E, alpha)
+    extensions, fed the componentwise product of sl2 x sl2 directly.  Pairs
+    are element indices: 0 is the top (the identity), 1 the bottom."""
+
+    @staticmethod
+    def build(sl2, carrier, s=((0, 0), (0, 1)), what="test carrier"):
+        t = sl2.table
+        products = [[(t[n1][n2], t[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
+        return _extension_on_carrier(sl2, sl2, carrier, products, s, what)
+
+    def test_full_carrier_is_the_direct_product(self, sl2, product_ext):
+        ext = self.build(sl2, ((0, 0), (1, 0), (0, 1), (1, 1)))
+        assert ext.verified
+        assert ext.G.labels == ("(1,1)", "(0,1)", "(1,0)", "(0,0)")
+        assert extensions_equivalent(ext, product_ext)
+
+    def test_missing_product_pair_is_a_consistency_error(self, sl2):
+        # (0,1) * (1,0) = (1,1), which the carrier leaves out
+        missing = "test carrier: \\(1, 1\\) is not a carrier pair"
+        with pytest.raises(ConsistencyError, match=missing):
+            self.build(sl2, ((0, 0), (1, 0), (0, 1)))
+
+    def test_section_off_the_carrier_is_a_consistency_error(self, sl2):
+        with pytest.raises(ConsistencyError, match="not a carrier pair"):
+            self.build(sl2, ((0, 0), (1, 0)), s=((0, 0), (0, 1)))
+
+    def test_monoid_law_failure_names_the_construction(self, sl2):
+        carrier = ((0, 0), (1, 0), (0, 1), (1, 1))
+        right_zero = [list(carrier) for _ in carrier]  # (0, 0) is no right identity
+        s = ((0, 0), (0, 1))
+        with pytest.raises(ConsistencyError, match="test carrier fails monoid laws"):
+            _extension_on_carrier(sl2, sl2, carrier, right_zero, s, "test carrier")
+
+    def test_extension_law_failure_names_the_construction(self, sl2):
+        # s(h) = (0, 0) for every h is a monoid hom but not a section of e
+        with pytest.raises(ConsistencyError, match="test carrier fails extension laws"):
+            self.build(sl2, ((0, 0), (1, 0), (0, 1), (1, 1)), s=((0, 0), (0, 0)))
