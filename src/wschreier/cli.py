@@ -141,19 +141,29 @@ def _inverse_pair(N, H):
 
 
 def _emit_extension(ext, out_path, name):
-    """Write the extension and its three monoids next to out_path."""
+    """Write the extension and its three monoids next to out_path.
+
+    The four files are written under temporary names in their directory and
+    then moved into place, so a failure while they are serialised or written
+    leaves none of them behind, and no temporary file is left either."""
     stem = out_path[:-4] if out_path.endswith(".ext") else out_path
     base = os.path.basename(stem)
-    paths = {}
+    texts = {}
     for role, M in (("N", ext.N), ("G", ext.G), ("H", ext.H)):
-        mon_path = "%s.%s.mon" % (stem, role)
-        with open(mon_path, "w", encoding="utf-8") as fh:
-            fh.write(wio.serialize_monoid(M, "%s_%s" % (name, role)))
-        paths[role] = "%s.%s.mon" % (base, role)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(
-            wio.serialize_extension(ext, paths["N"], paths["G"], paths["H"], name)
-        )
+        texts["%s.%s.mon" % (stem, role)] = wio.serialize_monoid(M, "%s_%s" % (name, role))
+    refs = ["%s.%s.mon" % (base, role) for role in "NGH"]
+    texts[out_path] = wio.serialize_extension(ext, *refs, name)
+    temps = {path: "%s.%d.tmp" % (path, os.getpid()) for path in texts}
+    try:
+        for path, text in texts.items():
+            with open(temps[path], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
     print("emitted: %s" % out_path)
 
 

@@ -130,19 +130,24 @@ def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
     """
     index = {p: i for i, p in enumerate(carrier)}
     one = H.identity
+    # Here and in the other builders and checkers, tuples are built from
+    # lists.  CPython 3.11 takes a tuple(<generator>) from the free list of
+    # 10-item tuples and resizes it, but frees it to the list of its final
+    # size.  Too little else takes from the lists of sizes 1-9 and 11-20 to
+    # drain them, so a sweep fills each to its cap of 2000, about 4 MB in all.
     try:
-        table = tuple(tuple(map(index.__getitem__, row)) for row in products)
+        table = tuple([tuple([index[p] for p in row]) for row in products])
         identity = index[(N.identity, one)]
-        kmap = tuple(index[(n, one)] for n in N.elements)
-        smap = tuple(map(index.__getitem__, s))
+        kmap = tuple([index[(n, one)] for n in N.elements])
+        smap = tuple([index[p] for p in s])
     except KeyError as exc:
         raise ConsistencyError("%s: %r is not a carrier pair" % (what, exc.args[0])) from None
-    labels = tuple(brackets % (N.label(n), H.label(h)) for n, h in carrier)
+    labels = tuple([brackets % (N.label(n), H.label(h)) for n, h in carrier])
     laws = check_monoid(table, identity, labels)
     if not laws.ok:
         raise ConsistencyError("%s fails monoid laws: %s" % (what, laws.violations[0]))
     G = laws.value
-    e = MonoidHom(G, H, tuple(h for _, h in carrier))
+    e = MonoidHom(G, H, tuple([h for _, h in carrier]))
     ext = SplitExtension(N, G, H, MonoidHom(N, G, kmap), e, MonoidHom(H, G, smap))
     verdict = verify_split_extension(ext)
     if not verdict.ok:
@@ -157,7 +162,7 @@ def retraction_candidates(ext: SplitExtension) -> tuple:
     out = []
     for g in ext.G.elements:
         sg = s[e[g]]
-        out.append(tuple(n for n in ext.N.elements if t[k[n]][sg] == g))
+        out.append(tuple([n for n in ext.N.elements if t[k[n]][sg] == g]))
     return tuple(out)
 
 

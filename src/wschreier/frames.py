@@ -14,6 +14,13 @@ the join of glueings.  artin_glueing builds its own carrier and meet and
 hands them to the extension builder shared with lambda_product and
 build_extension (extension._extension_on_carrier), so glueing_equals_lambda
 compares two independent constructions.
+
+Frames and meet-homs are validated once per instance.  check_frame keeps its
+label-free result on the FiniteMonoid, and the glueing functions keep a
+passed hom check on the MonoidHom, so a sweep over the homs between a few
+frames checks each frame once.  Constructed outputs are new instances and
+are checked on every call: the glued frame, and the pointwise meet that
+glueing_join returns.
 """
 
 from __future__ import annotations
@@ -60,64 +67,111 @@ class FiniteFrame:
         return self.leq[a][b]
 
 
-def check_frame(M: FiniteMonoid) -> Verdict:
-    """Commutative, idempotent, every pair has a least upper bound, and meet
-    distributes over join.  The identity is the top and the meet of all
-    elements the bottom, both automatic once the other laws hold."""
+def _frame_laws(M: FiniteMonoid):
     t = M.table
     n = M.size
     for a in range(n):
         if t[a][a] != a:
-            return Verdict(None, (Violation("idempotent", (a,)),))
+            return Violation("idempotent", (a,))
         for b in range(a + 1, n):
             if t[a][b] != t[b][a]:
-                return Verdict(None, (Violation("commutative", (a, b)),))
-    leq = tuple(tuple(t[a][b] == a for b in range(n)) for a in range(n))
-    join_rows = []
+                return Violation("commutative", (a, b))
+    leq = tuple([tuple([x == a for x in t[a]]) for a in range(n)])
+    # a commutative idempotent monoid is a meet-semilattice with the identity
+    # as top, so the meet of the common upper bounds of a and b is their join
+    ups = [[c for c, up in enumerate(above) if up] for above in leq]
+    top = M.identity
+    join = []
     for a in range(n):
-        row = []
-        for b in range(n):
-            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            least = [c for c in ubs if all(leq[c][d] for d in ubs)]
-            if len(least) != 1:
-                return Verdict(None, (Violation("join", (a, b)),))
-            row.append(least[0])
-        join_rows.append(tuple(row))
-    join = tuple(join_rows)
+        row = [join[b][a] for b in range(a)]
+        for b in range(a, n):
+            lb = leq[b]
+            j = top
+            for c in ups[a]:
+                if lb[c]:
+                    j = t[j][c]
+            row.append(j)
+        join.append(tuple(row))
+    join = tuple(join)
+    # the failing triples are symmetric in b and c, and b = c never fails, so
+    # the first one in (a, b, c) order has b < c
     for a in range(n):
+        ta = t[a]
         for b in range(n):
-            for c in range(n):
-                if t[a][join[b][c]] != join[t[a][b]][t[a][c]]:
-                    return Verdict(None, (Violation("distributive", (a, b, c)),))
+            jb = join[b]
+            jab = join[ta[b]]
+            for c in range(b + 1, n):
+                if ta[jb[c]] != jab[ta[c]]:
+                    return Violation("distributive", (a, b, c))
     bottom = 0
     for a in range(n):
         if leq[a][bottom]:
             bottom = a
-    return Verdict(FiniteFrame(M, leq, join, bottom))
+    return leq, join, bottom
+
+
+def _frame_data(M: FiniteMonoid):
+    """(leq, join, bottom) of M, or the first Violation of the frame laws.
+
+    Computed once per instance and kept on it as _frame, the way elements
+    is.  The data does not depend on the labels and holds no reference to M.
+    """
+    try:
+        return M._frame
+    except AttributeError:
+        data = _frame_laws(M)
+        object.__setattr__(M, "_frame", data)
+        return data
+
+
+def check_frame(M: FiniteMonoid) -> Verdict:
+    """Commutative, idempotent and meet distributes over join.
+
+    M must satisfy the monoid laws, as every FiniteMonoid from check_monoid,
+    the loaders and the constructions does.  It is then a meet-semilattice
+    with the identity as top, so every pair has a join: the meet of its
+    common upper bounds.  The bottom is the meet of all elements.  The laws
+    are checked once per instance; each call returns a fresh Verdict.
+    """
+    data = _frame_data(M)
+    if isinstance(data, Violation):
+        return Verdict(None, (data,))
+    return Verdict(FiniteFrame(M, *data))
+
+
+def _require_frame(M: FiniteMonoid, what: str):
+    data = _frame_data(M)
+    if isinstance(data, Violation):
+        Verdict(None, (data,)).expect(what)
+    return data
 
 
 def _require_frames(f: MonoidHom):
-    H = check_frame(f.source).expect("check_frame(source)")
-    N = check_frame(f.target).expect("check_frame(target)")
-    check_hom(f.source, f.target, f.map).expect("check_hom")
-    return H, N
+    """The frame data of f.target, once both ends are frames and f is a
+    monoid hom (PreconditionError otherwise).  A passed hom check is kept
+    on f as _meet_hom; a failed one is repeated on every call."""
+    _require_frame(f.source, "check_frame(source)")
+    target = _require_frame(f.target, "check_frame(target)")
+    if not getattr(f, "_meet_hom", False):
+        check_hom(f.source, f.target, f.map).expect("check_hom")
+        object.__setattr__(f, "_meet_hom", True)
+    return target
 
 
 def _glueing(f: MonoidHom):
     """The glueing frame, its extension and its carrier pairs, with the
     frames and f validated first."""
-    _, frame_n = _require_frames(f)
+    leq = _require_frames(f)[0]
     H, N = f.source, f.target
     tn, th = N.table, H.table
-    leq = frame_n.leq
-    carrier = tuple((n, h) for h in H.elements for n in N.elements if leq[n][f.map[h]])
+    carrier = tuple([(n, h) for h in H.elements for n in N.elements if leq[n][f.map[h]]])
     products = [[(tn[n1][n2], th[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
     s = [(f.map[h], h) for h in H.elements]
     ext = _extension_on_carrier(N, H, carrier, products, s, "glueing")
     glued = check_frame(ext.G)
     if not glued.ok:
         raise ConsistencyError("glueing carrier fails frame laws: %s" % (glued.violations[0],))
-    SchreierRetraction(ext, tuple(n for n, _ in carrier), unique=False)
+    SchreierRetraction(ext, tuple([n for n, _ in carrier]), unique=False)
     return glued.value, ext, carrier
 
 

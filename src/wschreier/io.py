@@ -197,10 +197,12 @@ def load_monoid(path: str, validate: bool = True) -> FiniteMonoid:
 
 def _reference(lines, rec, word, base_dir):
     lineno, tokens = _keyword(lines, rec, word)
-    if len(tokens) < 2:
+    # the path runs from its first token to the end of the line
+    path = rec[2][tokens[1][1] - 1 :].strip() if len(tokens) > 1 else ""
+    if not path:
         lines.error("expected '%s <path>'" % word, lineno, tokens[0][1])
-    _, _, raw = rec
-    path = raw.split(None, 1)[1].strip()
+    if "\0" in path:
+        lines.error("path contains a NUL character", lineno, tokens[1][1])
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
     try:
         return load_monoid(full), path

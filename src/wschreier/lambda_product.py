@@ -139,8 +139,8 @@ def lambda_product(a: InverseAction) -> LambdaProduct:
     N, H = a.N.base, a.H.base
     tn, th = N.table, H.table
     rows = a.act
-    idem_rows = tuple(rows[a.idem(h)] for h in H.elements)
-    carrier = tuple((n, h) for h in H.elements for n in N.elements if idem_rows[h][n] == n)
+    idem_rows = tuple([rows[a.idem(h)] for h in H.elements])
+    carrier = tuple([(n, h) for h in H.elements for n in N.elements if idem_rows[h][n] == n])
     products = []
     for n1, h1 in carrier:
         row1, th1 = rows[h1], th[h1]
@@ -150,7 +150,7 @@ def lambda_product(a: InverseAction) -> LambdaProduct:
     s = [(idem_rows[h][N.identity], h) for h in H.elements]
     ext = _extension_on_carrier(N, H, carrier, products, s, "lambda product")
     unique = all(len(c) == 1 for c in retraction_candidates(ext))
-    retraction = SchreierRetraction(ext, tuple(n for n, _ in carrier), unique)
+    retraction = SchreierRetraction(ext, tuple([n for n, _ in carrier]), unique)
     return LambdaProduct(a, carrier, ext, retraction)
 
 
@@ -222,7 +222,7 @@ def join_hom(f: MonoidHom, g: MonoidHom) -> MonoidHom:
     """Pointwise product of two parallel homs into central idempotents."""
     if f.source != g.source or f.target != g.target:
         raise FormatError("homs are not parallel")
-    m = tuple(f.target.table[f.map[h]][g.map[h]] for h in f.source.elements)
+    m = tuple([f.target.table[f.map[h]][g.map[h]] for h in f.source.elements])
     return check_hom(f.source, f.target, m).expect("join_hom")
 
 

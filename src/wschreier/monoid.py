@@ -102,7 +102,7 @@ class Verdict:
 
 
 def _as_table(table) -> tuple:
-    rows = tuple(tuple(row) for row in table)
+    rows = tuple([tuple(row) for row in table])
     n = len(rows)
     if n == 0:
         raise FormatError("empty table")
@@ -120,7 +120,8 @@ class FiniteMonoid:
     """A monoid on indices 0..size-1 given by its Cayley table.
 
     elements is range(size), computed once; it takes no part in equality,
-    hashing or repr.
+    hashing or repr.  frames.check_frame keeps its label-free verdict on the
+    instance the same way.
     """
 
     size: int
@@ -135,7 +136,7 @@ class FiniteMonoid:
         if not 0 <= self.identity < self.size:
             raise FormatError("identity index %r out of range" % (self.identity,))
         if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+            labels = tuple([str(x) for x in self.labels])
             if len(labels) != self.size:
                 raise FormatError("expected %d labels, got %d" % (self.size, len(labels)))
             object.__setattr__(self, "labels", labels)
@@ -387,7 +388,7 @@ def congruence_closure(M: FiniteMonoid, pairs) -> Congruence:
         for x in range(n):
             work.append((t[x][a], t[x][b]))
             work.append((t[a][x], t[b][x]))
-    return Congruence(M, tuple(uf.find(a) for a in range(n)))
+    return Congruence(M, tuple([uf.find(a) for a in range(n)]))
 
 
 def is_congruence(M: FiniteMonoid, class_id) -> bool:

@@ -12,7 +12,15 @@ import itertools
 import pytest
 
 from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
-from wschreier.monoid import BoundExceeded, FiniteMonoid, generating_plan, inverse_structure
+from wschreier.frames import FiniteFrame
+from wschreier.monoid import (
+    BoundExceeded,
+    FiniteMonoid,
+    Verdict,
+    Violation,
+    generating_plan,
+    inverse_structure,
+)
 from wschreier.lambda_product import InverseAction, semigroup_endomorphisms
 from wschreier.waction import (
     DEFAULT_BOUND,
@@ -307,6 +315,45 @@ def reference_inverse_actions(N, H, max_candidates: int = 10**7):
             found.append(tuple(phi[h] for h in H.base.elements))
     found.sort()
     return tuple(InverseAction(N, H, act) for act in found)
+
+
+def reference_check_frame(M):
+    """The frame check that computing joins as meets of upper bounds
+    replaced, kept as the reference for its verdict and first violation.
+
+    Each join is searched for among all upper bounds as the unique least
+    one, and distributivity is checked over every triple.
+    """
+    t = M.table
+    n = M.size
+    for a in range(n):
+        if t[a][a] != a:
+            return Verdict(None, (Violation("idempotent", (a,)),))
+        for b in range(a + 1, n):
+            if t[a][b] != t[b][a]:
+                return Verdict(None, (Violation("commutative", (a, b)),))
+    leq = tuple(tuple(t[a][b] == a for b in range(n)) for a in range(n))
+    join_rows = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            least = [c for c in ubs if all(leq[c][d] for d in ubs)]
+            if len(least) != 1:
+                return Verdict(None, (Violation("join", (a, b)),))
+            row.append(least[0])
+        join_rows.append(tuple(row))
+    join = tuple(join_rows)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[a][join[b][c]] != join[t[a][b]][t[a][c]]:
+                    return Verdict(None, (Violation("distributive", (a, b, c)),))
+    bottom = 0
+    for a in range(n):
+        if leq[a][bottom]:
+            bottom = a
+    return Verdict(FiniteFrame(M, leq, join, bottom))
 
 
 def reference_compatible_actions(E):

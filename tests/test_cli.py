@@ -184,6 +184,32 @@ class TestLambda:
         assert code == 0
         assert "fiber 1: {0 1 2}" in out
 
+    def test_failed_emit_leaves_no_file(self, files, capsys, monkeypatch):
+        def broken(*args):
+            raise ConsistencyError("boom")
+
+        before = sorted(os.listdir(files))
+        monkeypatch.setattr("wschreier.io.serialize_extension", broken)
+        code, out = invoke(
+            capsys, "lambda", str(files / "alpha_a.act"), "--emit", str(files / "lam.ext")
+        )
+        assert code == 3
+        assert out.endswith("error: internal: boom\n")
+        assert sorted(os.listdir(files)) == before
+
+    def test_failed_rename_leaves_no_file(self, files, capsys, monkeypatch):
+        def broken(src, dst):
+            raise OSError("disk full")
+
+        before = sorted(os.listdir(files))
+        monkeypatch.setattr("wschreier.cli.os.replace", broken)
+        code, out = invoke(
+            capsys, "glue", str(files / "f.map"), "--emit", str(files / "glued.ext")
+        )
+        assert code == 2
+        assert out.endswith("error: disk full\n")
+        assert sorted(os.listdir(files)) == before
+
 
 class TestGlue:
     def test_glueing(self, files, capsys):

@@ -1,9 +1,15 @@
+import gc
+import importlib
+import random
+import weakref
 from collections import Counter
 
 import pytest
 
+from conftest import reference_check_frame, relabelled
 from wschreier.catalog import (
     all_homs,
+    catalog_monoids,
     chain_lattice,
     commutative_idempotent_monoids,
     cyclic_group,
@@ -18,8 +24,32 @@ from wschreier.frames import (
     glueing_equals_lambda,
     glueing_join,
 )
+from wschreier.io import serialize_monoid
 from wschreier.lambda_product import artin_like_action, lambda_action_leq
-from wschreier.monoid import MonoidHom, PreconditionError, identity_hom
+from wschreier.monoid import FiniteMonoid, MonoidHom, PreconditionError, identity_hom
+
+
+# the package exports functions named like these modules
+frames_mod = importlib.import_module("wschreier.frames")
+lambda_mod = importlib.import_module("wschreier.lambda_product")
+
+
+def fresh(M):
+    """An equal, never-checked instance of M."""
+    return FiniteMonoid(M.size, M.identity, M.table, M.labels)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    real = getattr(module, name)
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestCheckFrame:
@@ -66,6 +96,116 @@ class TestCheckFrame:
         frame = check_frame(sl3).value
         assert frame.below(2, 0) and frame.below(2, 1) and frame.below(1, 0)
         assert not frame.below(0, 1)
+
+
+def _reference_inputs():
+    small_frames = [M for M in commutative_idempotent_monoids(4) if check_frame(M).ok]
+    glued = [
+        artin_glueing(f)[0].base
+        for H in small_frames
+        for N in small_frames
+        for f in all_homs(H, N)
+    ]
+    monoids = list(catalog_monoids(4)) + list(commutative_idempotent_monoids(5)) + glued
+    rng = random.Random(20)
+    return monoids + [relabelled(M, rng) for M in monoids]
+
+
+class TestCheckFrameMatchesReference:
+    def test_same_verdict_and_first_violation(self):
+        inputs = _reference_inputs()
+        assert len(inputs) == 2 * (45 + 10 + 145)
+        laws = Counter()
+        for M in inputs:
+            verdict = check_frame(fresh(M))
+            assert verdict == reference_check_frame(M), M.table
+            laws[verdict.violations[0].law if verdict.violations else "ok"] += 1
+        assert laws["distributive"] > 0 and laws["commutative"] > 0
+        assert laws["idempotent"] > 0 and laws["ok"] > 0
+
+
+class TestValidateOnce:
+    def test_second_call_matches_a_fresh_instance(self):
+        M = diamond_lattice()
+        first = check_frame(M)
+        second = check_frame(M)
+        assert second == first == check_frame(fresh(M))
+        assert second.value is not first.value
+        assert second.value.base is M
+
+    def test_frame_laws_run_once_per_instance(self, monkeypatch):
+        calls = counting(monkeypatch, frames_mod, "_frame_laws")
+        M = fresh(diamond_lattice())
+        for _ in range(3):
+            assert check_frame(M).ok
+        assert len(calls) == 1
+        assert check_frame(fresh(M)).ok
+        assert len(calls) == 2
+
+    def test_non_frame_reports_its_violation_on_every_call(self, sl2):
+        M = fresh(m3_lattice())
+        f = MonoidHom(sl2, M, (0, 0))
+        for _ in range(3):
+            verdict = check_frame(M)
+            assert [v.law for v in verdict.violations] == ["distributive"]
+            with pytest.raises(PreconditionError, match=r"check_frame\(target\) failed"):
+                glueing_join(f, f)
+
+    def test_meet_hom_checked_once_and_join_on_every_call(self, monkeypatch, sl2, sl3):
+        f = MonoidHom(sl2, sl3, (0, 1))
+        g = MonoidHom(sl2, sl3, (0, 2))
+        frame_checks = counting(monkeypatch, frames_mod, "check_hom")
+        join_checks = counting(monkeypatch, lambda_mod, "check_hom")
+        for _ in range(3):
+            assert glueing_join(f, g).map == (0, 2)
+        assert len(frame_checks) == 2
+        assert len(join_checks) == 3
+        assert glueing_join(MonoidHom(sl2, sl3, (0, 1)), g).map == (0, 2)
+        assert len(frame_checks) == 3
+
+    def test_failed_hom_check_is_repeated(self, monkeypatch, sl3, sl2):
+        f = MonoidHom(sl3, sl2, (0, 1, 0))
+        calls = counting(monkeypatch, frames_mod, "check_hom")
+        for _ in range(3):
+            with pytest.raises(PreconditionError, match="check_hom failed: hom-mul"):
+                glueing_join(f, f)
+        assert len(calls) == 3
+
+    def test_glued_frame_is_checked_on_every_glueing(self, monkeypatch, sl2, sl3):
+        f = MonoidHom(sl2, sl3, (0, 1))
+        artin_glueing(f)
+        calls = counting(monkeypatch, frames_mod, "_frame_laws")
+        for _ in range(3):
+            artin_glueing(f)
+        assert len(calls) == 3
+
+    def test_cache_is_invisible(self):
+        M = diamond_lattice()
+        before = (hash(M), repr(M), serialize_monoid(M, "d"))
+        check_frame(M)
+        artin_glueing(identity_hom(M))
+        other = fresh(M)
+        assert M == other and other == M
+        assert (hash(M), repr(M), serialize_monoid(M, "d")) == before
+        assert (hash(other), repr(other), serialize_monoid(other, "d")) == before
+        f = MonoidHom(M, M, tuple(M.elements))
+        h = MonoidHom(M, M, tuple(M.elements))
+        glueing_join(f, f)
+        assert f == h and hash(f) == hash(h) and repr(f) == repr(h)
+
+    def test_cache_makes_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            M = fresh(diamond_lattice())
+            f = identity_hom(M)
+            assert check_frame(M).ok
+            glueing_join(f, f)
+            refs = weakref.ref(M), weakref.ref(f)
+            del M, f
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestArtinGlueing:

@@ -1,5 +1,9 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from test_acceptance import cli_dir  # noqa: F401  the criterion-9 input files
 
 from wschreier.catalog import catalog_monoids, chain_lattice
 from wschreier.extension import direct_product_extension, verify_split_extension
@@ -208,6 +212,89 @@ class TestExtensionFormat:
         with pytest.raises(ParseError) as info:
             load_extension(path)
         assert info.value.line == 5
+
+
+class TestReferences:
+    def test_nul_in_path_is_a_parse_error(self, mon_dir):
+        path = write(mon_dir / "f.map", "map f\nsource sl2.\0mon\ntarget sl3.mon\nmap: 0 1\n")
+        with pytest.raises(ParseError, match="NUL") as info:
+            load_hom(path)
+        assert (info.value.line, info.value.col) == (2, 8)
+
+    def test_blank_path_is_a_parse_error(self, mon_dir):
+        # U+001F is whitespace to str.split but not to the tokenizer
+        text = "extension e\nN sl2.mon\nG sl2.mon\nH \x1f\nk: 0 1\ne: 0 1\ns: 0 1\n"
+        path = write(mon_dir / "e.ext", text)
+        with pytest.raises(ParseError, match="expected 'H <path>'") as info:
+            load_extension(path)
+        assert info.value.line == 4
+
+    def test_path_keeps_inner_spaces(self, tmp_path, sl2):
+        write(tmp_path / "my sl2.mon", serialize_monoid(sl2, "sl2"))
+        text = "map f\nsource  my sl2.mon \ntarget my sl2.mon\nmap: 0 1\n"
+        path = write(tmp_path / "f.map", text)
+        assert load_hom(path).source == sl2
+
+
+LOADERS = {
+    ".mon": load_monoid,
+    ".map": load_hom,
+    ".act": load_action,
+    ".ext": load_extension,
+    ".wact": load_wact_pair,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(cli_dir, sl3, sl2):  # noqa: F811
+    """The criterion-9 input files plus one weak-action pair file."""
+    E = AdmissibleRelation(sl3, sl2, ((0, 1, 2), (0, 0, 2)))
+    pair = WActPair(E, ActionTable(sl3, sl2, ((0, 1, 2), (1, 1, 2))))
+    write(cli_dir / "p.wact", serialize_wact_pair(pair, "sl3.mon", "sl2.mon", "p"))
+    return cli_dir
+
+
+@st.composite
+def mutated(draw, names):
+    """(file name, its bytes with one byte flipped, a tail cut or 1-4
+    bytes inserted)."""
+    name, data = draw(st.sampled_from(names))
+    i = draw(st.integers(0, len(data) - 1))
+    kind = draw(st.sampled_from(["flip", "cut", "insert"]))
+    if kind == "flip":
+        data = data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+    elif kind == "cut":
+        data = data[:i]
+    else:
+        data = data[:i] + draw(st.binary(min_size=1, max_size=4)) + data[i:]
+    return name, data
+
+
+class TestLoaderFuzz:
+    def test_every_loader_is_fuzzed(self, fuzz_dir):
+        exts = {os.path.splitext(p.name)[1] for p in fuzz_dir.iterdir()}
+        assert set(LOADERS) <= exts
+
+    def test_mutated_inputs_load_or_raise_format_error(self, fuzz_dir):
+        names = [
+            (p.name, p.read_bytes())
+            for p in sorted(fuzz_dir.iterdir())
+            if os.path.splitext(p.name)[1] in LOADERS and not p.name.startswith("fuzz")
+        ]
+
+        @settings(max_examples=600, deadline=None, database=None)
+        @given(mutated(names))
+        def check(case):
+            name, data = case
+            ext = os.path.splitext(name)[1]
+            path = fuzz_dir / ("fuzz" + ext)
+            path.write_bytes(data)
+            try:
+                LOADERS[ext](str(path))
+            except FormatError:  # ParseError is a FormatError
+                pass
+
+        check()
 
 
 class TestWactFormat:
