@@ -16,9 +16,13 @@ Exit codes: 0 on success, 1 on mathematical failure (law violation, missing
 morphism input, not weakly Schreier), 2 on input or format errors, 3 on an
 internal error: a constructed output failed its own verification, which is
 a bug, reported as one line "error: internal: <message>".  Output is
-deterministic: identical invocations produce identical bytes.  The
-enumeration bound defaults to 9 and can be overridden through the
-WSCHREIER_BOUND environment variable.
+deterministic: identical invocations produce identical bytes.
+
+The enumeration bound on |N| * |H| defaults to 9 and can be overridden
+through the WSCHREIER_BOUND environment variable.  It caps the relation/action
+enumeration only: enumerate, enumerate --wactions and poset.  enumerate
+--actions is capped instead by the candidate estimate of
+enumerate_inverse_actions.
 """
 
 from __future__ import annotations
@@ -96,22 +100,16 @@ def cmd_check(args) -> int:
         return 1
     M = verdict.value
     print("monoid: valid")
-    inv = inverse_structure(M)
-    if inv.ok:
-        print("inverse: yes%s" % _classify(M))
-    else:
-        print("inverse: no%s" % _classify(M))
-    failed = False
+    print("inverse: %s%s" % ("yes" if inverse_structure(M).ok else "no", _classify(M)))
     if args.as_frame:
         fr = check_frame(M)
-        if fr.ok:
-            print("frame: yes")
-            print("bottom: %s" % M.label(fr.value.bottom))
-        else:
+        if not fr.ok:
             print("frame: no")
             print("violation %s" % fr.violations[0])
-            failed = True
-    return 1 if failed else 0
+            return 1
+        print("frame: yes")
+        print("bottom: %s" % M.label(fr.value.bottom))
+    return 0
 
 
 def cmd_inverse(args) -> int:
@@ -211,20 +209,8 @@ def cmd_glue(args) -> int:
     return 0
 
 
-def _monoid_refs(path):
-    """The N and H reference strings recorded in an extension file."""
-    n_ref = h_ref = None
-    for line in wio._read_text(path).split("\n"):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped.startswith("N "):
-            n_ref = stripped[2:].strip()
-        elif stripped.startswith("H "):
-            h_ref = stripped[2:].strip()
-    return n_ref or "N", h_ref or "H"
-
-
 def cmd_extract(args) -> int:
-    ext = wio.load_extension(args.extension)
+    ext, n_ref, h_ref = wio._load_extension(args.extension)
     verdict = verify_split_extension(ext)
     if not verdict.ok:
         print("extension: invalid")
@@ -239,7 +225,6 @@ def cmd_extract(args) -> int:
     print("weakly-schreier: yes")
     print("schreier: %s" % ("yes" if ret.value.unique else "no"))
     pair = extract_waction(verdict.value, ret.value)
-    n_ref, h_ref = _monoid_refs(args.extension)
     sys.stdout.write(wio.serialize_wact_pair(pair, n_ref, h_ref, "extracted"))
     return 0
 
@@ -320,28 +305,22 @@ def cmd_join(args) -> int:
 def cmd_enumerate(args) -> int:
     N = wio.load_monoid(args.N)
     H = wio.load_monoid(args.H)
-    limit = args.limit
+    # a --limit below 1 lists nothing
+    limit = None if args.limit is None else max(args.limit, 0)
     if args.actions:
         pair = _inverse_pair(N, H)
         if pair is None:
             return 1
         actions = enumerate_inverse_actions(*pair)
-        shown = 0
-        for i, a in enumerate(actions):
-            if limit is not None and shown >= limit:
-                break
+        for i, a in enumerate(actions[:limit]):
             print("action %d:" % i)
             for h in H.elements:
                 for n in N.elements:
                     print("act %d %d -> %d" % (h, n, a.act[h][n]))
-            shown += 1
         print("count: %d" % len(actions))
         return 0
     pairs = list(enumerate_wactions(N, H, bound=_bound()))
-    shown = 0
-    for i, p in enumerate(pairs):
-        if limit is not None and shown >= limit:
-            break
+    for i, p in enumerate(pairs[:limit]):
         print("pair %d:" % i)
         for h in H.elements:
             blocks = " ".join("{%s}" % " ".join(str(n) for n in b) for b in p.E.blocks(h))
@@ -349,7 +328,6 @@ def cmd_enumerate(args) -> int:
         for h in H.elements:
             for n in N.elements:
                 print("action %d %d -> %d" % (h, n, p.alpha.act[h][n]))
-        shown += 1
     print("count: %d" % len(pairs))
     return 0
 
@@ -364,7 +342,10 @@ def emit_dot(pairs, leq) -> str:
 
     Mutually comparable pairs collapse into one node labelled by class size
     and the fingerprint of its first member; edges are the covers of the
-    quotient (transitive reduction), drawn upward.
+    quotient (transitive reduction), drawn upward.  On the output of
+    enumerate_wactions every node has size 1: p <= q <= p forces equal
+    fibres and equivalent actions, and the enumerator yields one pair per
+    class.
     """
     n = len(pairs)
     below = [[i == j or leq(pairs[i], pairs[j]) for j in range(n)] for i in range(n)]

@@ -23,6 +23,11 @@ Extension file (.ext):       Pair file (.wact):
     e: i0 i1 ...
     s: i0 i1 ...
 
+A line ends at \\n, \\r\\n or \\r and nowhere else: \\v, \\f, \\x1c-\\x1e, \\x85
+and U+2028/U+2029 stay inside their line.  Tokens are separated by spaces.
+A line that is blank, or whose first non-blank character is #, is a
+comment.  A reference path runs from its first token to the end of its
+line, less surrounding whitespace, so it may hold spaces and #.
 Referenced paths are resolved relative to the referencing file.  Parse
 errors carry the file, line and column of the offending token.
 """
@@ -59,30 +64,32 @@ class ParseError(FormatError):
         self.col = col
 
 
+def _split_lines(text: str) -> list:
+    """The lines of a text, as the module docstring defines them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read_text(path: str) -> str:
-    """The text of a file, with newlines translated as open() does in text
-    mode.  A byte sequence that is not UTF-8 is a ParseError at its line and
-    column."""
+    """The text of a file.  A byte sequence that is not UTF-8 is a ParseError
+    at its line and column."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the sentinel makes splitlines count a line that starts at the bad byte
-        rows = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        rows = _split_lines(data[: exc.start].decode("utf-8"))
         raise ParseError(
-            "invalid UTF-8 byte 0x%02x" % data[exc.start], path, len(rows), len(rows[-1])
+            "invalid UTF-8 byte 0x%02x" % data[exc.start], path, len(rows), len(rows[-1]) + 1
         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class _Lines:
-    """Significant lines of a file as (lineno, [(token, column)]) records."""
+    """Significant lines of a file as (lineno, [(token, column)], raw) records."""
 
     def __init__(self, text, file):
         self.file = file
         self.records = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(_split_lines(text), start=1):
             if raw.strip() == "" or raw.lstrip().startswith("#"):
                 continue
             tokens = []
@@ -195,6 +202,14 @@ def load_monoid(path: str, validate: bool = True) -> FiniteMonoid:
     return parse_monoid(_read_text(path), path, validate)
 
 
+def _open(path, word):
+    """The significant lines of a file whose header keyword is word, past
+    the header, and the directory its references are resolved against."""
+    lines = _Lines(_read_text(path), path)
+    _keyword(lines, lines.next("%s header" % word), word)
+    return lines, os.path.dirname(os.path.abspath(path))
+
+
 def _reference(lines, rec, word, base_dir):
     lineno, tokens = _keyword(lines, rec, word)
     # the path runs from its first token to the end of the line
@@ -232,9 +247,7 @@ def load_hom(path: str, validate: bool = True) -> MonoidHom:
     """Load a hom file.  With validate the map must satisfy the hom laws
     (a ParseError otherwise); without, only the shape is enforced, so
     callers can report law violations themselves."""
-    base = os.path.dirname(os.path.abspath(path))
-    lines = _Lines(_read_text(path), path)
-    _keyword(lines, lines.next("map header"), "map")
+    lines, base = _open(path, "map")
     source, _ = _reference(lines, lines.next("source"), "source", base)
     target, _ = _reference(lines, lines.next("target"), "target", base)
     rec = lines.next("map:")
@@ -284,9 +297,7 @@ def _act_lines(lines, N, H, word="act"):
 
 
 def load_action(path: str) -> ActionTable:
-    base = os.path.dirname(os.path.abspath(path))
-    lines = _Lines(_read_text(path), path)
-    _keyword(lines, lines.next("action header"), "action")
+    lines, base = _open(path, "action")
     N, _ = _reference(lines, lines.next("N"), "N", base)
     H, _ = _reference(lines, lines.next("H"), "H", base)
     act = _act_lines(lines, N, H)
@@ -302,20 +313,23 @@ def serialize_action(a: ActionTable, n_path: str, h_path: str, name: str = "a") 
     return "\n".join(out) + "\n"
 
 
-def load_extension(path: str) -> SplitExtension:
-    base = os.path.dirname(os.path.abspath(path))
-    lines = _Lines(_read_text(path), path)
-    _keyword(lines, lines.next("extension header"), "extension")
-    N, _ = _reference(lines, lines.next("N"), "N", base)
+def _load_extension(path: str) -> tuple:
+    """The extension of an .ext file and its N and H reference paths, as
+    written in the file."""
+    lines, base = _open(path, "extension")
+    N, n_ref = _reference(lines, lines.next("N"), "N", base)
     G, _ = _reference(lines, lines.next("G"), "G", base)
-    H, _ = _reference(lines, lines.next("H"), "H", base)
+    H, h_ref = _reference(lines, lines.next("H"), "H", base)
     k = _map_line(lines, lines.next("k:"), "k:", N.size, G.size)
     e = _map_line(lines, lines.next("e:"), "e:", G.size, H.size)
     s = _map_line(lines, lines.next("s:"), "s:", H.size, G.size)
     lines.done()
-    return SplitExtension(
-        N, G, H, MonoidHom(N, G, k), MonoidHom(G, H, e), MonoidHom(H, G, s)
-    )
+    ext = SplitExtension(N, G, H, MonoidHom(N, G, k), MonoidHom(G, H, e), MonoidHom(H, G, s))
+    return ext, n_ref, h_ref
+
+
+def load_extension(path: str) -> SplitExtension:
+    return _load_extension(path)[0]
 
 
 def serialize_extension(
@@ -335,9 +349,7 @@ def serialize_extension(
 
 
 def load_wact_pair(path: str) -> WActPair:
-    base = os.path.dirname(os.path.abspath(path))
-    lines = _Lines(_read_text(path), path)
-    _keyword(lines, lines.next("wact header"), "wact")
+    lines, base = _open(path, "wact")
     N, _ = _reference(lines, lines.next("N"), "N", base)
     H, _ = _reference(lines, lines.next("H"), "H", base)
     fibers = [None] * H.size

@@ -294,10 +294,8 @@ def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:
     N, H = ext.N, ext.H
     t = ext.G.table
     k, s = ext.k.map, ext.s.map
-    fibers = tuple(
-        tuple(_normalize_classes(t[k[n]][s[h]] for n in N.elements)) for h in H.elements
-    )
-    E = AdmissibleRelation(N, H, fibers)
+    # AdmissibleRelation numbers each fibre's classes by first occurrence
+    E = AdmissibleRelation(N, H, [[t[k[n]][s[h]] for n in N.elements] for h in H.elements])
     act = tuple(tuple(r.q[t[s[h]][k[n]]] for n in N.elements) for h in H.elements)
     alpha = ActionTable(N, H, act)
     pair = WActPair(E, alpha)

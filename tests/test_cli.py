@@ -9,13 +9,15 @@ from wschreier.catalog import chain_lattice, right_zero_adjoined
 from wschreier.cli import run
 from wschreier.extension import SplitExtension, verify_split_extension
 from wschreier.io import (
+    load_wact_pair,
     serialize_action,
     serialize_extension,
     serialize_hom,
     serialize_monoid,
 )
-from wschreier.monoid import ConsistencyError, MonoidHom, direct_product
-from wschreier.waction import ActionTable
+from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
+from wschreier.monoid import ConsistencyError, MonoidHom, direct_product, inverse_structure
+from wschreier.waction import ActionTable, extract_waction
 
 
 @pytest.fixture()
@@ -250,6 +252,25 @@ class TestExtract:
         assert code == 1
         assert "weakly-schreier: no" in out
 
+    def test_references_are_printed_as_written(self, files, capsys, sl3, sl2):
+        # "#" starts a comment only at the start of a line, so it is part of the path
+        lam = lambda_product(
+            enumerate_inverse_actions(
+                inverse_structure(sl3).expect("sl3"), inverse_structure(sl2).expect("sl2")
+            )[0]
+        )
+        (files / "n#x.mon").write_text(serialize_monoid(sl3, "n"), encoding="utf-8")
+        (files / "lamG.mon").write_text(serialize_monoid(lam.extension.G, "G"), encoding="utf-8")
+        text = serialize_extension(lam.extension, "n#x.mon", "lamG.mon", "sl2.mon", "lam")
+        (files / "lam.ext").write_text(text, encoding="utf-8")
+        code, out = invoke(capsys, "extract", str(files / "lam.ext"))
+        assert code == 0
+        assert "N n#x.mon\n" in out and "H sl2.mon\n" in out
+        (files / "lam.wact").write_text(out[out.index("wact extracted"):], encoding="utf-8")
+        assert load_wact_pair(str(files / "lam.wact")) == extract_waction(
+            lam.extension, lam.retraction
+        )
+
 
 class TestCompare:
     def test_acts_compare_equivalent(self, files, capsys):
@@ -335,6 +356,23 @@ class TestEnumerate:
         )
         assert code == 0
         assert "count: 41" in out
+
+    def test_bound_caps_relation_enumeration_only(self, files, capsys, monkeypatch):
+        # --actions is capped by enumerate_inverse_actions' candidate estimate
+        monkeypatch.setenv("WSCHREIER_BOUND", "1")
+        sl2 = str(files / "sl2.mon")
+        code, out = invoke(capsys, "enumerate", sl2, sl2, "--actions")
+        assert code == 0
+        assert "count: 3" in out
+        for argv in (
+            ["enumerate", sl2, sl2],
+            ["enumerate", sl2, sl2, "--wactions"],
+            ["poset", sl2, sl2, "--dot", str(files / "o.dot")],
+        ):
+            code, out = invoke(capsys, *argv)
+            assert code == 2
+            assert "exceeds bound" in out
+        assert not (files / "o.dot").exists()
 
     def test_bad_bound_value(self, files, capsys, monkeypatch):
         monkeypatch.setenv("WSCHREIER_BOUND", "many")

@@ -418,3 +418,47 @@ class TestEncoding:
             load_hom(path)
         assert info.value.file.endswith("sl2.mon")
         assert (info.value.line, info.value.col) == (2, 1)
+
+
+class TestLineBreaks:
+    # Line 3 is a comment; line 5 has one label too many, so the file's error
+    # is at 5:1.  The non-UTF-8 variant puts a bad byte at 5:9 instead.
+    TEXT = "monoid ff 1\nidentity 0\n# one row\nrow 0: 0\nlabels: 1 x\n"
+    BREAKS = ["\v", "\f", "\x1c", "\x85", "\u2028"]
+
+    @staticmethod
+    def insert(text, lineno, char):
+        """text with char at the end of line lineno (1-based)."""
+        lines = text.split("\n")
+        lines[lineno - 1] += char
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("char", BREAKS, ids=repr)
+    @pytest.mark.parametrize("lineno", [1, 2, 3, 4])
+    def test_label_error_stays_on_its_line(self, tmp_path, lineno, char):
+        path = write(tmp_path / "ff.mon", self.insert(self.TEXT, lineno, char))
+        with pytest.raises(ParseError) as info:
+            load_monoid(path)
+        where = (info.value.line, info.value.col)
+        if lineno == 3 or char != "\x1c":
+            assert where == (5, 1)
+            assert "expected 1 labels, got 2" in str(info.value)
+        else:
+            # int() does not strip \x1c, so the edited line is rejected itself
+            assert info.value.line == lineno
+
+    @pytest.mark.parametrize("char", BREAKS, ids=repr)
+    @pytest.mark.parametrize("lineno", [1, 2, 3, 4])
+    def test_non_utf8_error_stays_on_its_line(self, tmp_path, lineno, char):
+        text = self.insert(self.TEXT.replace("1 x\n", ""), lineno, char)
+        path = tmp_path / "ff.mon"
+        path.write_bytes(text.encode("utf-8") + b"\xff\n")
+        with pytest.raises(ParseError, match="UTF-8") as info:
+            load_monoid(str(path))
+        assert (info.value.line, info.value.col) == (5, 9)
+
+    def test_only_newlines_end_lines(self):
+        # str.splitlines() would make "row 1: 0" a trailing line
+        noise = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        text = "monoid m 1\r\nidentity 0\rrow 0: 0\n# %srow 1: 0\n" % noise
+        assert parse_monoid(text).size == 1
