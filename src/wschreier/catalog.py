@@ -11,10 +11,11 @@ from itertools import product
 
 from .monoid import (
     FiniteMonoid,
+    MonoidHom,
     PreconditionError,
+    _hom_search,
     canonical_form,
     center,
-    check_hom,
     idempotents,
     inverse_structure,
 )
@@ -238,17 +239,11 @@ def commutative_idempotent_monoids(max_size: int = 5) -> tuple:
 
 
 def all_homs(A: FiniteMonoid, B: FiniteMonoid) -> tuple:
-    """Every monoid hom A -> B, in lexicographic order of the map."""
-    rest = [a for a in A.elements if a != A.identity]
-    out = []
-    for values in product(range(B.size), repeat=len(rest)):
-        m = [B.identity] * A.size
-        for a, v in zip(rest, values):
-            m[a] = v
-        verdict = check_hom(A, B, tuple(m))
-        if verdict.ok:
-            out.append(verdict.value)
-    return tuple(out)
+    """Every monoid hom A -> B, in lexicographic order of the map: the hom
+    search with 1 sent to B's identity and each generator of A anywhere."""
+    one = (B.identity,)
+    maps = _hom_search(A, B.mul, lambda x: one if x == A.identity else B.elements)
+    return tuple(MonoidHom(A, B, m) for m in sorted(maps))
 
 
 def central_idempotent_homs(H: FiniteMonoid, N: FiniteMonoid) -> tuple:

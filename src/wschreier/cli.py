@@ -295,10 +295,7 @@ def cmd_join(args) -> int:
     joined = join_hom(f, g)
     print("join: valid")
     print("map: %s" % " ".join(str(v) for v in joined.map))
-    action = artin_like_action(joined)
-    for h in joined.source.elements:
-        for n in joined.target.elements:
-            print("act %d %d -> %d" % (h, n, action.act[h][n]))
+    print("\n".join(wio._format_act(artin_like_action(joined).act)))
     return 0
 
 
@@ -314,20 +311,13 @@ def cmd_enumerate(args) -> int:
         actions = enumerate_inverse_actions(*pair)
         for i, a in enumerate(actions[:limit]):
             print("action %d:" % i)
-            for h in H.elements:
-                for n in N.elements:
-                    print("act %d %d -> %d" % (h, n, a.act[h][n]))
+            print("\n".join(wio._format_act(a.act)))
         print("count: %d" % len(actions))
         return 0
     pairs = list(enumerate_wactions(N, H, bound=_bound()))
     for i, p in enumerate(pairs[:limit]):
         print("pair %d:" % i)
-        for h in H.elements:
-            blocks = " ".join("{%s}" % " ".join(str(n) for n in b) for b in p.E.blocks(h))
-            print("fiber %d: %s" % (h, blocks))
-        for h in H.elements:
-            for n in N.elements:
-                print("action %d %d -> %d" % (h, n, p.alpha.act[h][n]))
+        print("\n".join(wio._format_pair(p)))
     print("count: %d" % len(pairs))
     return 0
 

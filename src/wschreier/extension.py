@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .monoid import (
+    BoundExceeded,
     ConsistencyError,
     FiniteMonoid,
     FormatError,
@@ -179,7 +180,8 @@ def find_retraction(ext: SplitExtension) -> Verdict:
 
 def all_retractions(ext: SplitExtension, limit: int = 64) -> tuple:
     """Every Schreier retraction.  The count is the product of the
-    per-element candidate counts; refuse (ValueError) beyond limit."""
+    per-element candidate counts; refuse (BoundExceeded, a ValueError, with
+    the count as its estimate) beyond limit."""
     cands = retraction_candidates(ext)
     total = 1
     for options in cands:
@@ -187,7 +189,7 @@ def all_retractions(ext: SplitExtension, limit: int = 64) -> tuple:
             return ()
         total *= len(options)
     if total > limit:
-        raise ValueError("%d retractions exceed limit %d" % (total, limit))
+        raise BoundExceeded("%d retractions exceed limit %d" % (total, limit), total)
     return tuple(
         SchreierRetraction(ext, qs, unique=(total == 1))
         for qs in product(*cands)

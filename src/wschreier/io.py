@@ -28,8 +28,10 @@ and U+2028/U+2029 stay inside their line.  Tokens are separated by spaces.
 A line that is blank, or whose first non-blank character is #, is a
 comment.  A reference path runs from its first token to the end of its
 line, less surrounding whitespace, so it may hold spaces and #.
-Referenced paths are resolved relative to the referencing file.  Parse
-errors carry the file, line and column of the offending token.
+Referenced paths are resolved relative to the referencing file, by joining
+them to its directory as named, so an error's file does not depend on the
+working directory.  Parse errors carry the file, line and column of the
+offending token.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def _open(path, word):
     the header, and the directory its references are resolved against."""
     lines = _Lines(_read_text(path), path)
     _keyword(lines, lines.next("%s header" % word), word)
-    return lines, os.path.dirname(os.path.abspath(path))
+    return lines, os.path.dirname(path)
 
 
 def _reference(lines, rec, word, base_dir):
@@ -305,12 +307,15 @@ def load_action(path: str) -> ActionTable:
     return ActionTable(N, H, act)
 
 
+def _format_act(act, word="act") -> list:
+    """The '<word> <h> <n> -> <m>' lines of an action table, h-major."""
+    rows = enumerate(act)
+    return ["%s %d %d -> %d" % (word, h, n, m) for h, row in rows for n, m in enumerate(row)]
+
+
 def serialize_action(a: ActionTable, n_path: str, h_path: str, name: str = "a") -> str:
     out = ["action %s" % name, "N %s" % n_path, "H %s" % h_path]
-    for h in a.H.elements:
-        for n in a.N.elements:
-            out.append("act %d %d -> %d" % (h, n, a.act[h][n]))
-    return "\n".join(out) + "\n"
+    return "\n".join(out + _format_act(a.act)) + "\n"
 
 
 def _load_extension(path: str) -> tuple:
@@ -395,12 +400,15 @@ def load_wact_pair(path: str) -> WActPair:
     return WActPair(AdmissibleRelation(N, H, tuple(fibers)), ActionTable(N, H, act))
 
 
-def serialize_wact_pair(p: WActPair, n_path: str, h_path: str, name: str = "p") -> str:
-    out = ["wact %s" % name, "N %s" % n_path, "H %s" % h_path]
+def _format_pair(p: WActPair) -> list:
+    """The 'fiber' and 'action' lines of a relation/action pair."""
+    out = []
     for h in p.H.elements:
         blocks = " ".join("{%s}" % " ".join(str(n) for n in b) for b in p.E.blocks(h))
         out.append("fiber %d: %s" % (h, blocks))
-    for h in p.H.elements:
-        for n in p.N.elements:
-            out.append("action %d %d -> %d" % (h, n, p.alpha.act[h][n]))
-    return "\n".join(out) + "\n"
+    return out + _format_act(p.alpha.act, "action")
+
+
+def serialize_wact_pair(p: WActPair, n_path: str, h_path: str, name: str = "p") -> str:
+    out = ["wact %s" % name, "N %s" % n_path, "H %s" % h_path]
+    return "\n".join(out + _format_pair(p)) + "\n"

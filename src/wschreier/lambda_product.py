@@ -19,7 +19,6 @@ product of f and g is the join of the induced extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .monoid import (
     BoundExceeded,
@@ -30,6 +29,7 @@ from .monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    _hom_search,
     center,
     check_hom,
     generating_plan,
@@ -236,23 +236,15 @@ def artin_join(f: MonoidHom, g: MonoidHom) -> InverseAction:
 
 def semigroup_endomorphisms(M: FiniteMonoid) -> tuple:
     """All maps M -> M with f(a b) = f(a) f(b); f(1) = 1 is not required.
-    Sorted; the identity map is always present."""
-    t = M.table
-    n = M.size
-    out = []
-    for f in product(range(n), repeat=n):
-        ok = True
-        for a in range(n):
-            fa = f[a]
-            for b in range(n):
-                if f[t[a][b]] != t[fa][f[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(f)
-    return tuple(sorted(out))
+    Sorted; the identity map is always present.  Found by the plan-driven hom
+    search with every image free, the identity's too (the law (1, 1) makes it
+    idempotent), which drops a partial map at its first broken law."""
+    return tuple(sorted(_hom_search(M, M.mul, lambda x: M.elements)))
+
+
+def _compose(f: tuple, g: tuple) -> tuple:
+    """The endomorphism f after g."""
+    return tuple(map(f.__getitem__, g))
 
 
 def enumerate_inverse_actions(
@@ -261,62 +253,23 @@ def enumerate_inverse_actions(
     """All inverse-monoid actions of H on N, sorted by action table.
 
     An action is exactly a monoid hom phi from H into the semigroup
-    endomorphisms of N under composition.  The search backtracks over the
-    stages of H's generating plan: stage 0 is the identity and its products,
-    and each later stage assigns one generator an endomorphism and derives,
-    by composition, the elements the plan builds from it.  Each hom law
-    phi(a b) = phi(a) phi(b) is checked once, at the first stage where
-    phi(a), phi(b) and phi(a b) are all known, and a failure prunes every
-    extension of the assignment.  Refuses with BoundExceeded when the
-    assignment count |End(N)|^#generators exceeds max_candidates.
+    endomorphisms of N under composition, so the plan-driven hom search runs
+    over H with the identity endomorphism for 1 and End(N) for each
+    generator: the images of the other elements are derived by composition,
+    and each hom law phi(a b) = phi(a) phi(b) is checked once, as soon as its
+    three values are known.  Refuses with BoundExceeded when the assignment
+    count |End(N)|^#generators exceeds max_candidates.
     """
     endos = semigroup_endomorphisms(N.base)
-    gens, plan = generating_plan(H.base)
+    gens, _ = generating_plan(H.base)
     estimate = len(endos) ** len(gens)
     if estimate > max_candidates:
         raise BoundExceeded(
             "%d candidate assignments exceed cap %d" % (estimate, max_candidates),
             estimate,
         )
-    th = H.base.table
-    # stages[k] = (generator or None, [(x, a, b) derived as phi(a) phi(b)])
-    stages = [(None, [])]
-    stage_of = {}
-    for x, rule in plan:
-        if rule[0] == "gen":
-            stages.append((x, []))
-        elif rule[0] == "mul":
-            stages[-1][1].append((x, rule[1], rule[2]))
-        stage_of[x] = len(stages) - 1
-    laws = [[] for _ in stages]
-    for a in H.base.elements:
-        for b in H.base.elements:
-            ab = th[a][b]
-            laws[max(stage_of[a], stage_of[b], stage_of[ab])].append((a, b, ab))
-    phi = [None] * H.base.size
-    phi[H.base.identity] = tuple(range(N.base.size))
-    found = []
-
-    def holds(k, endo):
-        gen, steps = stages[k]
-        if gen is not None:
-            phi[gen] = endo
-        for x, a, b in steps:
-            phi[x] = tuple(map(phi[a].__getitem__, phi[b]))
-        for a, b, ab in laws[k]:
-            if phi[ab] != tuple(map(phi[a].__getitem__, phi[b])):
-                return False
-        return True
-
-    def search(k):
-        if k == len(stages):
-            found.append(tuple(phi))
-            return
-        for endo in endos:
-            if holds(k, endo):
-                search(k + 1)
-
-    if holds(0, None):
-        search(1)
-    found.sort()
+    one = (tuple(N.base.elements),)
+    found = sorted(
+        _hom_search(H.base, _compose, lambda x: one if x == H.base.identity else endos)
+    )
     return tuple(InverseAction(N, H, act) for act in found)

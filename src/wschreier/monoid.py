@@ -57,8 +57,9 @@ class PreconditionError(ValueError):
     """An operation was invoked on input violating its stated precondition."""
 
 
-class BoundExceeded(RuntimeError):
-    """An enumeration refused to run because it would exceed its bound."""
+class BoundExceeded(RuntimeError, ValueError):
+    """An enumeration refused to run because its count, estimate, would
+    exceed its bound.  Also a ValueError, which callers of all_retractions catch."""
 
     def __init__(self, message: str, estimate: int):
         super().__init__(message)
@@ -530,12 +531,58 @@ def generating_plan(M: FiniteMonoid):
     return gens, [(x, how[x]) for x in order]
 
 
+def _hom_search(A: FiniteMonoid, mul, choices):
+    """Yield, in search order, every map phi on A's elements with
+    phi(a b) = mul(phi(a), phi(b)) for all a, b, whose values at the identity
+    and at each generator of A are drawn from choices(x).
+
+    The search backtracks over the stages of A's generating plan: stage 0
+    chooses phi(1), and each later stage chooses one generator's image and
+    derives the products the plan builds from it.  Each law (a, b) is checked
+    once, at the first stage where phi(a), phi(b) and phi(a b) are all known,
+    and a failure prunes every extension of the assignment.  The maps are
+    yielded lazily, so a caller may stop at the first one it wants.
+    """
+    _, plan = generating_plan(A)
+    stages = []  # (x chosen at this stage, [(y, a, b) derived as mul(phi(a), phi(b))])
+    stage_of = {}
+    for x, rule in plan:
+        if rule[0] == "mul":
+            stages[-1][1].append((x, rule[1], rule[2]))
+        else:
+            stages.append((x, []))
+        stage_of[x] = len(stages) - 1
+    laws = [[] for _ in stages]
+    for a in A.elements:
+        for b in A.elements:
+            ab = A.table[a][b]
+            laws[max(stage_of[a], stage_of[b], stage_of[ab])].append((a, b, ab))
+    phi = [None] * A.size
+
+    def search(k):
+        if k == len(stages):
+            yield tuple(phi)
+            return
+        x, steps = stages[k]
+        for v in choices(x):
+            phi[x] = v
+            for y, a, b in steps:
+                phi[y] = mul(phi[a], phi[b])
+            for a, b, ab in laws[k]:
+                if phi[ab] != mul(phi[a], phi[b]):
+                    break
+            else:
+                yield from search(k + 1)
+
+    return search(0)
+
+
 def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
     """Backtracking isomorphism test over generator images.
 
-    Generator candidates are pruned by cheap invariants; forced products are
-    propagated and a full table check runs at each completed assignment.
-    Practical for sizes into the low tens.
+    Each element's image is limited to the elements with its cheap
+    invariants, and the hom search shared with all_homs runs until it
+    yields a bijective hom.  Practical for sizes into the low tens.
     """
     if A.size != B.size:
         return False
@@ -543,43 +590,9 @@ def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
     fpb = [_element_fingerprint(B, x) for x in B.elements]
     if sorted(fpa) != sorted(fpb):
         return False
-    _, plan = generating_plan(A)
-    ta, tb = A.table, B.table
-    img = {A.identity: B.identity}
-    used = {B.identity}
-
-    def place(i):
-        if i == len(plan):
-            return all(
-                img[ta[a][b]] == tb[img[a]][img[b]] for a in A.elements for b in A.elements
-            )
-        x, rule = plan[i]
-        if rule[0] == "one":
-            return place(i + 1)
-        if rule[0] == "gen":
-            for y in B.elements:
-                if y in used or fpb[y] != fpa[x]:
-                    continue
-                img[x] = y
-                used.add(y)
-                if place(i + 1):
-                    return True
-                del img[x]
-                used.discard(y)
-            return False
-        _, a, b = rule
-        y = tb[img[a]][img[b]]
-        if y in used:
-            return False
-        img[x] = y
-        used.add(y)
-        if place(i + 1):
-            return True
-        del img[x]
-        used.discard(y)
-        return False
-
-    return place(0)
+    # a fingerprint marks the identity, so only B's identity matches A's
+    choices = [[y for y in B.elements if fpb[y] == fpa[x]] for x in A.elements]
+    return any(len(set(phi)) == B.size for phi in _hom_search(A, B.mul, choices.__getitem__))
 
 
 def canonical_form(M: FiniteMonoid) -> tuple:

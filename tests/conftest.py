@@ -16,12 +16,13 @@ from wschreier.frames import FiniteFrame
 from wschreier.monoid import (
     BoundExceeded,
     FiniteMonoid,
+    MonoidHom,
     Verdict,
     Violation,
     generating_plan,
     inverse_structure,
 )
-from wschreier.lambda_product import InverseAction, semigroup_endomorphisms
+from wschreier.lambda_product import InverseAction
 from wschreier.waction import (
     DEFAULT_BOUND,
     ActionTable,
@@ -271,14 +272,52 @@ def naive_inverse_actions(N: FiniteMonoid, H: FiniteMonoid):
     return found
 
 
+def reference_semigroup_endomorphisms(M: FiniteMonoid) -> tuple:
+    """The generate-and-test loop that the hom search replaced, kept as the
+    reference for semigroup_endomorphisms: every one of the size^size maps
+    is tested against every law f(a b) = f(a) f(b).  Sorted."""
+    t = M.table
+    n = M.size
+    out = []
+    for f in itertools.product(range(n), repeat=n):
+        ok = True
+        for a in range(n):
+            fa = f[a]
+            for b in range(n):
+                if f[t[a][b]] != t[fa][f[b]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(f)
+    return tuple(sorted(out))
+
+
+def reference_all_homs(A: FiniteMonoid, B: FiniteMonoid) -> tuple:
+    """The generate-and-test loop that the hom search replaced, kept as the
+    reference for all_homs: every map sending 1 to 1 is tested with
+    naive_is_hom, in lexicographic order of the map."""
+    rest = [a for a in A.elements if a != A.identity]
+    out = []
+    for values in itertools.product(range(B.size), repeat=len(rest)):
+        m = [B.identity] * A.size
+        for a, v in zip(rest, values):
+            m[a] = v
+        if naive_is_hom(A, B, m):
+            out.append(MonoidHom(A, B, tuple(m)))
+    return tuple(out)
+
+
 def reference_inverse_actions(N, H, max_candidates: int = 10**7):
     """The generate-and-test enumerator that the hom search replaced, kept
     as the reference for its output, order and refusals.
 
-    Every assignment of endomorphisms to the generators of H is extended
-    along the generating plan, and only then are all |H|^2 hom laws checked.
+    End(N) comes from reference_semigroup_endomorphisms.  Every assignment
+    of endomorphisms to the generators of H is extended along the
+    generating plan, and only then are all |H|^2 hom laws checked.
     """
-    endos = semigroup_endomorphisms(N.base)
+    endos = reference_semigroup_endomorphisms(N.base)
     gens, plan = generating_plan(H.base)
     estimate = len(endos) ** len(gens)
     if estimate > max_candidates:

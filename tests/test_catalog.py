@@ -1,7 +1,9 @@
+import random
 from collections import Counter
 
 import pytest
 
+from conftest import reference_all_homs, relabelled
 from wschreier.catalog import (
     all_homs,
     catalog_inverse_monoids,
@@ -15,6 +17,7 @@ from wschreier.catalog import (
     right_zero_adjoined,
     trivial_monoid,
 )
+from wschreier.frames import check_frame
 from wschreier.monoid import (
     PreconditionError,
     canonical_form,
@@ -142,6 +145,30 @@ class TestHomSearch:
             if check_hom(sl3, sl3, m).ok
         ]
         assert [f.map for f in all_homs(sl3, sl3)] == expected
+
+    def test_homs_match_reference(self):
+        # the size-5 commutative idempotent monoids complete the catalog; the
+        # smaller ones are in it up to isomorphism already
+        rng = random.Random(20200508)
+        monoids = catalog_monoids(4) + tuple(
+            M for M in commutative_idempotent_monoids(5) if M.size == 5
+        )
+        relabels = [relabelled(M, rng) for M in monoids]
+        for i, A in enumerate(monoids):
+            for j, B in enumerate(monoids):
+                if A.size * B.size > 16:
+                    continue
+                assert all_homs(A, B) == reference_all_homs(A, B)
+                A2, B2 = relabels[i], relabels[j]
+                assert all_homs(A2, B2) == reference_all_homs(A2, B2)
+
+    def test_homs_match_reference_on_frame_pairs(self):
+        rng = random.Random(20200509)
+        frames = [M for M in commutative_idempotent_monoids(5) if check_frame(M).ok]
+        frames += [relabelled(M, rng) for M in frames]
+        for A in frames:
+            for B in frames:
+                assert all_homs(A, B) == reference_all_homs(A, B)
 
     def test_central_idempotent_homs_into_chain(self):
         sl2, sl3 = chain_lattice(2), chain_lattice(3)

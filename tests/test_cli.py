@@ -245,6 +245,24 @@ class TestGlue:
         assert code == 1
         assert "frame target: no" in out
 
+    def test_reference_error_does_not_depend_on_the_directory(
+        self, tmp_path, capsys, monkeypatch, sl2
+    ):
+        # b.mon's last row holds the out-of-range entry 7 at column 10
+        outs = []
+        for name in ("one", "two/deeper"):
+            d = tmp_path / name
+            d.mkdir(parents=True)
+            (d / "a.mon").write_text(serialize_monoid(sl2, "a"), encoding="utf-8")
+            (d / "b.mon").write_text(
+                "monoid b 2\nidentity 0\nrow 0: 0 1\nrow 1: 1 7\n", encoding="utf-8"
+            )
+            hom = serialize_hom(MonoidHom(sl2, sl2, (0, 1)), "a.mon", "b.mon", "f")
+            (d / "f.map").write_text(hom, encoding="utf-8")
+            monkeypatch.chdir(d)
+            outs.append(invoke(capsys, "glue", "f.map"))
+        assert outs[0] == outs[1] == (2, "error: b.mon:4:10: entry 7 out of range 0..1\n")
+
 
 class TestExtract:
     def test_non_weakly_schreier(self, files, capsys):

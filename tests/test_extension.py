@@ -16,6 +16,7 @@ from wschreier.extension import (
 )
 from wschreier.frames import artin_glueing
 from wschreier.monoid import (
+    BoundExceeded,
     ConsistencyError,
     FormatError,
     MonoidHom,
@@ -155,6 +156,13 @@ class TestRetraction:
     def test_all_retractions_limit(self, glued_chain):
         with pytest.raises(ValueError):
             list(all_retractions(glued_chain, limit=1))
+
+    def test_all_retractions_refusal_is_bound_exceeded(self, glued_chain):
+        with pytest.raises(BoundExceeded) as info:
+            all_retractions(glued_chain, limit=1)
+        assert isinstance(info.value, ValueError)
+        assert info.value.estimate == 2
+        assert str(info.value) == "2 retractions exceed limit 1"
 
     def test_invalid_retraction_rejected(self, glued_chain):
         with pytest.raises(FormatError):

@@ -1,12 +1,21 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from conftest import make_inverse_action, naive_inverse_actions, reference_inverse_actions
+from conftest import (
+    make_inverse_action,
+    naive_inverse_actions,
+    reference_inverse_actions,
+    reference_semigroup_endomorphisms,
+    relabelled,
+)
 from wschreier.catalog import (
     catalog_inverse_monoids,
+    catalog_monoids,
     chain_lattice,
+    commutative_idempotent_monoids,
     cyclic_group,
     right_zero_adjoined,
 )
@@ -268,6 +277,23 @@ class TestEnumeration:
 
     def test_endomorphisms_of_chain(self, sl2):
         assert semigroup_endomorphisms(sl2) == ((0, 0), (0, 1), (1, 1))
+
+    def test_endomorphisms_match_reference(self):
+        # the size-5 commutative idempotent monoids complete the catalog; the
+        # smaller ones are in it up to isomorphism already
+        rng = random.Random(20200507)
+        monoids = catalog_monoids(4) + tuple(
+            M for M in commutative_idempotent_monoids(5) if M.size == 5
+        )
+        for M in monoids:
+            for X in (M, relabelled(M, rng)):
+                assert semigroup_endomorphisms(X) == reference_semigroup_endomorphisms(X)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_endomorphisms_of_chains_are_counted(self, n):
+        # an endomorphism of the n-chain is a monotone self-map, and there
+        # are C(2n - 1, n) of those
+        assert len(semigroup_endomorphisms(chain_lattice(n))) == math.comb(2 * n - 1, n)
 
     @pytest.mark.parametrize("n_name,h_name", sorted(GOLDEN_COUNTS))
     def test_counts_match_brute_force(self, n_name, h_name, request, enum_cache):

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_is_hom, naive_is_monoid
+from conftest import naive_is_hom, naive_is_monoid, relabelled
 from wschreier.catalog import (
     catalog_monoids,
     chain_lattice,
@@ -280,6 +281,18 @@ class TestIsomorphism:
     def test_distinguishes_chain_from_group(self, sl3):
         assert not are_isomorphic(sl3, cyclic_group(3))
         assert canonical_form(sl3) != canonical_form(cyclic_group(3))
+
+    def test_agrees_with_canonical_form(self):
+        rng = random.Random(20200510)
+        catalog = catalog_monoids(4)
+        # a relabelled copy of each member makes every isomorphic pair a
+        # pair of different tables
+        relabels = [relabelled(M, rng) for M in catalog]
+        forms = {M: canonical_form(M) for M in catalog + tuple(relabels)}
+        for A in catalog:
+            for B in relabels:
+                if A.size == B.size:
+                    assert are_isomorphic(A, B) == (forms[A] == forms[B])
 
     def test_catalog_members_pairwise_distinct(self):
         forms = [canonical_form(M) for M in catalog_monoids(3) if M.size == 3]
