@@ -269,7 +269,5 @@ def enumerate_inverse_actions(
             estimate,
         )
     one = (tuple(N.base.elements),)
-    found = sorted(
-        _hom_search(H.base, _compose, lambda x: one if x == H.base.identity else endos)
-    )
-    return tuple(InverseAction(N, H, act) for act in found)
+    maps = _hom_search(H.base, _compose, lambda x: one if x == H.base.identity else endos)
+    return tuple(InverseAction(N, H, act) for act in sorted(maps))

@@ -250,14 +250,9 @@ def inverse_structure(M: FiniteMonoid) -> Verdict:
             inv.append(cands[0])
     if violations:
         idem = idempotents(M)
-        for e in idem:
-            for f in idem:
-                if t[e][f] != t[f][e]:
-                    violations.append(Violation("idempotents-commute", (e, f)))
-                    break
-            else:
-                continue
-            break
+        clash = next(((e, f) for e in idem for f in idem if t[e][f] != t[f][e]), None)
+        if clash is not None:
+            violations.append(Violation("idempotents-commute", clash))
         return Verdict(None, tuple(violations))
     return Verdict(InverseStructure(M, tuple(inv)))
 
@@ -531,8 +526,8 @@ def generating_plan(M: FiniteMonoid):
     return gens, [(x, how[x]) for x in order]
 
 
-def _hom_search(A: FiniteMonoid, mul, choices):
-    """Yield, in search order, every map phi on A's elements with
+def _hom_search(A: FiniteMonoid, mul, choices, injective=False):
+    """Yield lazily, in search order, every map phi on A's elements with
     phi(a b) = mul(phi(a), phi(b)) for all a, b, whose values at the identity
     and at each generator of A are drawn from choices(x).
 
@@ -540,8 +535,8 @@ def _hom_search(A: FiniteMonoid, mul, choices):
     chooses phi(1), and each later stage chooses one generator's image and
     derives the products the plan builds from it.  Each law (a, b) is checked
     once, at the first stage where phi(a), phi(b) and phi(a b) are all known,
-    and a failure prunes every extension of the assignment.  The maps are
-    yielded lazily, so a caller may stop at the first one it wants.
+    and a failure prunes every extension of the assignment; with injective,
+    so does a stage that gives two known elements one value.
     """
     _, plan = generating_plan(A)
     stages = []  # (x chosen at this stage, [(y, a, b) derived as mul(phi(a), phi(b))])
@@ -558,6 +553,7 @@ def _hom_search(A: FiniteMonoid, mul, choices):
             ab = A.table[a][b]
             laws[max(stage_of[a], stage_of[b], stage_of[ab])].append((a, b, ab))
     phi = [None] * A.size
+    known = [[z for z in A.elements if stage_of[z] <= k] for k in range(len(stages))]
 
     def search(k):
         if k == len(stages):
@@ -568,6 +564,8 @@ def _hom_search(A: FiniteMonoid, mul, choices):
             phi[x] = v
             for y, a, b in steps:
                 phi[y] = mul(phi[a], phi[b])
+            if injective and len({phi[z] for z in known[k]}) < len(known[k]):
+                continue
             for a, b, ab in laws[k]:
                 if phi[ab] != mul(phi[a], phi[b]):
                     break
@@ -581,8 +579,8 @@ def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
     """Backtracking isomorphism test over generator images.
 
     Each element's image is limited to the elements with its cheap
-    invariants, and the hom search shared with all_homs runs until it
-    yields a bijective hom.  Practical for sizes into the low tens.
+    invariants, and the hom search shared with all_homs, kept injective,
+    stops at its first hom, a bijection.  Practical into the low tens.
     """
     if A.size != B.size:
         return False
@@ -592,7 +590,7 @@ def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
         return False
     # a fingerprint marks the identity, so only B's identity matches A's
     choices = [[y for y in B.elements if fpb[y] == fpa[x]] for x in A.elements]
-    return any(len(set(phi)) == B.size for phi in _hom_search(A, B.mul, choices.__getitem__))
+    return next(_hom_search(A, B.mul, choices.__getitem__, injective=True), None) is not None
 
 
 def canonical_form(M: FiniteMonoid) -> tuple:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +294,18 @@ class TestIsomorphism:
             for B in relabels:
                 if A.size == B.size:
                     assert are_isomorphic(A, B) == (forms[A] == forms[B])
+
+    def test_right_zero_adjoined_is_fast(self):
+        # every non-identity element is a generator with the same
+        # fingerprint and every map is a hom, so a search that kept
+        # non-injective maps would visit about k^(k-2) of them first
+        rng = random.Random(7)
+        M = right_zero_adjoined(10)
+        start = time.perf_counter()
+        assert are_isomorphic(M, M)
+        assert are_isomorphic(M, relabelled(M, rng))
+        assert not are_isomorphic(M, chain_lattice(11))
+        assert time.perf_counter() - start < 0.5
 
     def test_catalog_members_pairwise_distinct(self):
         forms = [canonical_form(M) for M in catalog_monoids(3) if M.size == 3]
