@@ -30,8 +30,8 @@ comment.  A reference path runs from its first token to the end of its
 line, less surrounding whitespace, so it may hold spaces and #.
 Referenced paths are resolved relative to the referencing file, by joining
 them to its directory as named, so an error's file does not depend on the
-working directory.  Parse errors carry the file, line and column of the
-offending token.
+working directory.  A path that a file references twice is loaded once.
+Parse errors carry the file, line and column of the offending token.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ class _Lines:
                 col += len(piece) + 1
             self.records.append((lineno, tokens, raw))
         self.pos = 0
+        self.loaded = {}  # the monoids this file references, by resolved path
 
     def error(self, message, line=0, col=0):
         raise ParseError(message, self.file, line, col)
@@ -222,7 +223,9 @@ def _reference(lines, rec, word, base_dir):
         lines.error("path contains a NUL character", lineno, tokens[1][1])
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
     try:
-        return load_monoid(full), path
+        if full not in lines.loaded:
+            lines.loaded[full] = load_monoid(full)
+        return lines.loaded[full], path
     except OSError as exc:
         lines.error("cannot read %r (%s)" % (path, exc), lineno, tokens[1][1])
 

@@ -261,13 +261,13 @@ def enumerate_inverse_actions(
     count |End(N)|^#generators exceeds max_candidates.
     """
     endos = semigroup_endomorphisms(N.base)
-    gens, _ = generating_plan(H.base)
+    gens, plan = generating_plan(H.base)
     estimate = len(endos) ** len(gens)
     if estimate > max_candidates:
         raise BoundExceeded(
             "%d candidate assignments exceed cap %d" % (estimate, max_candidates),
             estimate,
         )
-    one = (tuple(N.base.elements),)
-    maps = _hom_search(H.base, _compose, lambda x: one if x == H.base.identity else endos)
+    one, e = (tuple(N.base.elements),), H.base.identity
+    maps = _hom_search(H.base, _compose, lambda x: one if x == e else endos, plan=plan)
     return tuple(InverseAction(N, H, act) for act in sorted(maps))

@@ -65,8 +65,9 @@ def _with_refusals(enumerate_):
 
 
 class _Section:
-    def __init__(self, name):
+    def __init__(self, name, side="search"):
         self.name = name
+        self.side = side  # what the new side is called in the report
         self.cases = self.bad = 0
         self.seconds = [0.0, 0.0]
 
@@ -85,8 +86,8 @@ class _Section:
 
     def report(self):
         print(
-            "%s: %d of %d cases identical; search %.2f s, reference %.2f s"
-            % (self.name, self.cases - self.bad, self.cases, *self.seconds),
+            "%s: %d of %d cases identical; %s %.2f s, reference %.2f s"
+            % (self.name, self.cases - self.bad, self.cases, self.side, *self.seconds),
             flush=True,
         )
         return self.bad

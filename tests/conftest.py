@@ -15,7 +15,9 @@ from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
 from wschreier.frames import FiniteFrame
 from wschreier.monoid import (
     BoundExceeded,
+    Congruence,
     FiniteMonoid,
+    FormatError,
     MonoidHom,
     Verdict,
     Violation,
@@ -395,6 +397,80 @@ def reference_check_frame(M):
     return Verdict(FiniteFrame(M, leq, join, bottom))
 
 
+# ---------------------------------------------------------------------------
+# element loops kept as references for the row kernels
+
+
+def reference_check_monoid(table, identity=None, labels=None) -> Verdict:
+    """The element-loop check_monoid that the row kernel replaced: the table
+    is validated cell by cell, and every triple (a, b, c) is tested."""
+    rows = tuple([tuple(row) for row in table])
+    n = len(rows)
+    if n == 0:
+        raise FormatError("empty table")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise FormatError("row %d has %d entries, expected %d" % (i, len(row), n))
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise FormatError("entry (%d,%d) = %r out of range 0..%d" % (i, j, v, n - 1))
+    if identity is not None and not 0 <= identity < n:
+        raise FormatError("identity index %r out of range" % (identity,))
+    violations = []
+    e = identity
+    if e is None:
+        for cand in range(n):
+            if all(rows[cand][a] == a and rows[a][cand] == a for a in range(n)):
+                e = cand
+                break
+        if e is None:
+            violations.append(Violation("identity"))
+    else:
+        for a in range(n):
+            if rows[e][a] != a or rows[a][e] != a:
+                violations.append(Violation("identity", (a,)))
+    for a in range(n):
+        ra = rows[a]
+        for b in range(n):
+            ab = ra[b]
+            rab = rows[ab]
+            rb = rows[b]
+            for c in range(n):
+                if rab[c] != ra[rb[c]]:
+                    violations.append(Violation("associativity", (a, b, c)))
+    if violations:
+        return Verdict(None, tuple(violations))
+    return Verdict(FiniteMonoid(n, e, rows, labels))
+
+
+def reference_congruence_closure(M, pairs) -> Congruence:
+    """The union-find closure that the class-id arrays replaced: each merge
+    queues the translates (xa, xb) and (ax, bx) one pair at a time."""
+    n = M.size
+    t = M.table
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    work = [(int(a), int(b)) for a, b in pairs]
+    for a, b in work:
+        if not 0 <= a < n or not 0 <= b < n:
+            raise FormatError("congruence generator (%d,%d) out of range" % (a, b))
+    while work:
+        a, b = work.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        parent[max(ra, rb)] = min(ra, rb)
+        for x in range(n):
+            work.append((t[x][a], t[x][b]))
+            work.append((t[a][x], t[b][x]))
+    return Congruence(M, tuple([find(a) for a in range(n)]))
+
+
 def reference_compatible_actions(E):
     """The generate-and-test loop that the class-minimum search replaced:
     every table with the identity row forced and the column at 1 in N
@@ -453,6 +529,17 @@ def relabelled(M, rng):
         for b in M.elements:
             table[p[a]][p[b]] = p[M.table[a][b]]
     return FiniteMonoid(M.size, p[M.identity], tuple(map(tuple, table)))
+
+
+def one_cell_mutant(table, rng):
+    """table with one cell, chosen by rng, moved to another value; a table
+    of one element is returned as it is."""
+    n = len(table)
+    rows = [list(r) for r in table]
+    if n > 1:
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = (rows[i][j] + rng.randrange(1, n)) % n
+    return tuple(map(tuple, rows))
 
 
 def naive_weakly_schreier(ext) -> bool:

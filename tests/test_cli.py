@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conftest import assert_dag_transitively_reduced, parse_dot
+from wschreier import io
 from wschreier.catalog import chain_lattice, right_zero_adjoined
 from wschreier.cli import run
 from wschreier.extension import SplitExtension, verify_split_extension
@@ -269,6 +270,15 @@ class TestExtract:
         code, out = invoke(capsys, "extract", str(files / "diag.ext"))
         assert code == 1
         assert "weakly-schreier: no" in out
+
+    def test_shared_reference_is_loaded_once(self, files, capsys, monkeypatch):
+        # diag.ext names sl2.mon as both N and H
+        loaded = []
+        load = io.load_monoid
+        monkeypatch.setattr(io, "load_monoid", lambda path: loaded.append(path) or load(path))
+        code, _ = invoke(capsys, "extract", str(files / "diag.ext"))
+        assert code == 1
+        assert sorted(os.path.basename(p) for p in loaded) == ["G.mon", "sl2.mon"]
 
     def test_references_are_printed_as_written(self, files, capsys, sl3, sl2):
         # "#" starts a comment only at the start of a line, so it is part of the path

@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 
+import importlib
+
 import pytest
 
 from conftest import (
@@ -50,6 +52,11 @@ from wschreier.lambda_product import (
     waction_of,
 )
 from wschreier.waction import action_signature, extract_waction, waction_leq
+
+# the package binds the name lambda_product to the function, so the modules
+# are looked up by name
+lambda_module = importlib.import_module("wschreier.lambda_product")
+monoid_module = importlib.import_module("wschreier.monoid")
 
 
 class TestCheckInverseAction:
@@ -361,3 +368,19 @@ class TestEnumeration:
         assert enumerate_inverse_actions(N, H, max_candidates=estimate) == (
             reference_inverse_actions(N, H, max_candidates=estimate)
         )
+
+    def test_plan_of_h_is_built_once(self, sl3, sl2, monkeypatch):
+        N = inverse_structure(sl3).value
+        H = inverse_structure(direct_product(sl2, sl2)).value
+        planned = []
+
+        def counted(M):
+            planned.append(M)
+            return generating_plan(M)
+
+        for module in (monoid_module, lambda_module):
+            monkeypatch.setattr(module, "generating_plan", counted)
+        actions = enumerate_inverse_actions(N, H)
+        assert planned.count(H.base) == 1
+        monkeypatch.undo()
+        assert actions == reference_inverse_actions(N, H)
