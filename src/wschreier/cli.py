@@ -37,8 +37,8 @@ from .monoid import (
     ConsistencyError,
     FormatError,
     PreconditionError,
+    _hom_laws,
     center,
-    check_hom,
     check_monoid,
     idempotents,
     inverse_structure,
@@ -195,7 +195,7 @@ def cmd_glue(args) -> int:
             print("violation %s" % fr.violations[0])
             return 1
     print("frames: yes")
-    hv = check_hom(f.source, f.target, f.map)
+    hv = _hom_laws(f)
     if not hv.ok:
         print("meet-hom: no")
         print("violation %s" % hv.violations[0])
@@ -282,7 +282,7 @@ def cmd_join(args) -> int:
         raise FormatError("join requires parallel maps")
     allowed = set(idempotents(f.target)) & set(center(f.target))
     for name, m in (("f", f), ("g", g)):
-        hv = check_hom(m.source, m.target, m.map)
+        hv = _hom_laws(m)
         if not hv.ok:
             print("hom %s: no" % name)
             print("violation %s" % hv.violations[0])

@@ -21,6 +21,7 @@ from .monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    _hom_laws,
     check_hom,
     check_monoid,
     direct_product,
@@ -42,7 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitExtension:
-    """Bundle (N, G, H, k, e, s); verified is set by verify_split_extension."""
+    """Bundle (N, G, H, k, e, s); verified is set by verify_split_extension.
+
+    ks[h][n] = k(n) * s(h) is the factor table, derived once per instance;
+    like FiniteMonoid.elements it takes no part in equality, hashing or repr.
+    """
 
     N: FiniteMonoid
     G: FiniteMonoid
@@ -59,6 +64,9 @@ class SplitExtension:
             raise FormatError("e must map G onto H")
         if self.s.source != self.H or self.s.target != self.G:
             raise FormatError("s must map H into G")
+        t = self.G.table
+        ks = tuple([tuple([t[kn][sh] for kn in self.k.map]) for sh in self.s.map])
+        object.__setattr__(self, "ks", ks)
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,12 @@ class SchreierRetraction:
         q = tuple(self.q)
         if len(q) != ext.G.size:
             raise FormatError("retraction has %d entries, expected %d" % (len(q), ext.G.size))
-        t = ext.G.table
+        ks, e = ext.ks, ext.e.map
         for g in ext.G.elements:
             n = q[g]
-            if not 0 <= n < ext.N.size:
+            if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < ext.N.size:
                 raise FormatError("retraction value %r out of range" % (n,))
-            if t[ext.k.map[n]][ext.s.map[ext.e.map[g]]] != g:
+            if ks[e[g]][n] != g:
                 raise FormatError("q(%d) = %d does not factor g" % (g, n))
         object.__setattr__(self, "q", q)
 
@@ -98,7 +106,7 @@ def verify_split_extension(ext: SplitExtension) -> Verdict:
     value is the extension with verified=True.
     """
     for name, f in (("k", ext.k), ("e", ext.e), ("s", ext.s)):
-        v = check_hom(f.source, f.target, f.map)
+        v = _hom_laws(f)
         if not v.ok:
             bad = v.violations[0]
             return Verdict(None, (Violation("%s-%s" % (name, bad.law), bad.witness),))
@@ -157,14 +165,9 @@ def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
 
 
 def retraction_candidates(ext: SplitExtension) -> tuple:
-    """For each g, the sorted tuple of n with k(n) * s(e(g)) = g."""
-    t = ext.G.table
-    k, e, s = ext.k.map, ext.e.map, ext.s.map
-    out = []
-    for g in ext.G.elements:
-        sg = s[e[g]]
-        out.append(tuple([n for n in ext.N.elements if t[k[n]][sg] == g]))
-    return tuple(out)
+    """For each g, the sorted tuple of n with ext.ks[e(g)][n] = g."""
+    ks, e = ext.ks, ext.e.map
+    return tuple([tuple([n for n, x in enumerate(ks[e[g]]) if x == g]) for g in ext.G.elements])
 
 
 def find_retraction(ext: SplitExtension) -> Verdict:
@@ -196,50 +199,38 @@ def all_retractions(ext: SplitExtension, limit: int = 64) -> tuple:
     )
 
 
-def _require_comparable(a: SplitExtension, b: SplitExtension):
-    if a.N != b.N or a.H != b.H:
-        raise FormatError("extensions do not share the same N and H")
-
-
 def extension_morphism(a: SplitExtension, b: SplitExtension) -> MonoidHom | None:
     """The unique morphism of extensions a -> b if one exists, else None.
 
     A morphism is a hom f: G_a -> G_b with f o k_a = k_b, e_b o f = e_a and
-    f o s_a = s_b.  Both extensions must be weakly Schreier; every g then
-    factors as k_a(n) * s_a(h), all candidate images k_b(n) * s_b(h) must
-    agree, and the resulting map must be a hom.  Uniqueness is forced by the
-    construction.
+    f o s_a = s_b.  Both extensions must be weakly Schreier: every g has
+    retraction candidates n, with g = k_a(n) * s_a(e_a(g)).  Their images
+    b.ks[e_a(g)][n] = k_b(n) * s_b(e_a(g)) must agree, and the resulting map
+    must be a hom.  Uniqueness is forced by the construction.
     """
-    _require_comparable(a, b)
-    for ext in (a, b):
-        if not find_retraction(ext).ok:
-            raise PreconditionError("extension is not weakly Schreier")
-    ta, tb = a.G.table, b.G.table
-    ka, sa, ea = a.k.map, a.s.map, a.e.map
-    kb, sb = b.k.map, b.s.map
+    if a.N != b.N or a.H != b.H:
+        raise FormatError("extensions do not share the same N and H")
+    cands = retraction_candidates(a)
+    if not all(cands) or not all(retraction_candidates(b)):
+        raise PreconditionError("extension is not weakly Schreier")
+    ea = a.e.map
     fmap = []
-    for g in a.G.elements:
-        h = ea[g]
-        sag, sbg = sa[h], sb[h]
-        images = {tb[kb[n]][sbg] for n in a.N.elements if ta[ka[n]][sag] == g}
+    for g, h in enumerate(ea):
+        images = {b.ks[h][n] for n in cands[g]}
         if len(images) != 1:
             return None
         fmap.append(images.pop())
     verdict = check_hom(a.G, b.G, tuple(fmap))
     if not verdict.ok:
         return None
-    f = verdict.value
+    fm = verdict.value.map
     # the three squares hold by construction; keep the cheap assertion honest
-    for n in a.N.elements:
-        if f.map[ka[n]] != kb[n]:
-            return None
-    for g in a.G.elements:
-        if b.e.map[f.map[g]] != ea[g]:
-            return None
-    for h in a.H.elements:
-        if f.map[sa[h]] != sb[h]:
-            return None
-    return f
+    squares = (
+        tuple([fm[x] for x in a.k.map]) == b.k.map
+        and tuple([b.e.map[x] for x in fm]) == ea
+        and tuple([fm[x] for x in a.s.map]) == b.s.map
+    )
+    return verdict.value if squares else None
 
 
 def extensions_equivalent(a: SplitExtension, b: SplitExtension) -> bool:

@@ -33,7 +33,7 @@ from .monoid import (
     MonoidHom,
     Verdict,
     Violation,
-    check_hom,
+    _hom_laws,
 )
 from .extension import SchreierRetraction, _extension_on_carrier
 from .lambda_product import LambdaProduct, artin_like_action, join_hom, lambda_product
@@ -153,7 +153,7 @@ def _require_frames(f: MonoidHom):
     _require_frame(f.source, "check_frame(source)")
     target = _require_frame(f.target, "check_frame(target)")
     if not getattr(f, "_meet_hom", False):
-        check_hom(f.source, f.target, f.map).expect("check_hom")
+        _hom_laws(f).expect("check_hom")
         object.__setattr__(f, "_meet_hom", True)
     return target
 

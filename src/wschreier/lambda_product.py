@@ -29,6 +29,7 @@ from .monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    _hom_laws,
     _hom_search,
     center,
     check_hom,
@@ -205,7 +206,7 @@ def artin_like_action(f: MonoidHom) -> InverseAction:
     idempotents of N.  Rejects (PreconditionError, with witness) homs whose
     image strays, non-homs, and non-inverse N or H."""
     H, N = f.source, f.target
-    check_hom(H, N, f.map).expect("check_hom")
+    _hom_laws(f).expect("check_hom")
     allowed = set(idempotents(N)) & set(center(N))
     for h in H.elements:
         if f.map[h] not in allowed:

@@ -300,9 +300,15 @@ class MonoidHom:
 
 
 def check_hom(source: FiniteMonoid, target: FiniteMonoid, map_) -> Verdict:
-    """Check identity and multiplication preservation of a candidate hom."""
-    f = MonoidHom(source, target, tuple(map_))
-    m = f.map
+    """Check identity and multiplication preservation of a candidate hom,
+    built here from map_ (FormatError on a bad shape).  A caller that holds
+    a MonoidHom already checks it with _hom_laws, the same law loop."""
+    return _hom_laws(MonoidHom(source, target, tuple(map_)))
+
+
+def _hom_laws(f: MonoidHom) -> Verdict:
+    """The first broken hom law of f, or a Verdict carrying f itself."""
+    source, target, m = f.source, f.target, f.map
     if m[source.identity] != target.identity:
         return Verdict(None, (Violation("hom-identity", (source.identity,)),))
     ts, tt = source.table, target.table

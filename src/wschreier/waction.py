@@ -133,7 +133,7 @@ class ActionTable:
             if len(row) != self.N.size:
                 raise FormatError("action rows must cover N")
             for v in row:
-                if not 0 <= v < self.N.size:
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.N.size:
                     raise FormatError("action value %r out of range" % (v,))
         object.__setattr__(self, "act", act)
 
@@ -285,18 +285,18 @@ def build_extension(p: WActPair) -> SplitExtension:
 def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:
     """The pair (E, alpha) of a weakly Schreier extension.
 
-    (n1, h) ~ (n2, h) iff k(n1) * s(h) = k(n2) * s(h), and
-    alpha(h, n) = q(s(h) * k(n)).  Any retraction q gives an equivalent
-    action; the output is validated and a failure raises ConsistencyError.
+    (n1, h) ~ (n2, h) iff k(n1) * s(h) = k(n2) * s(h): the fiber over h is
+    row h of the factor table ext.ks, its classes numbered by first
+    occurrence.  alpha(h, n) = q(s(h) * k(n)).  Any retraction q gives an
+    equivalent action; the output is validated and a failure raises
+    ConsistencyError.
     """
     if r.ext != ext:
         raise FormatError("retraction belongs to a different extension")
     N, H = ext.N, ext.H
     t = ext.G.table
-    k, s = ext.k.map, ext.s.map
-    # AdmissibleRelation numbers each fibre's classes by first occurrence
-    E = AdmissibleRelation(N, H, [[t[k[n]][s[h]] for n in N.elements] for h in H.elements])
-    act = tuple(tuple(r.q[t[s[h]][k[n]]] for n in N.elements) for h in H.elements)
+    E = AdmissibleRelation(N, H, ext.ks)
+    act = tuple(tuple(r.q[t[sh][kn]] for kn in ext.k.map) for sh in ext.s.map)
     alpha = ActionTable(N, H, act)
     pair = WActPair(E, alpha)
     va = check_admissible(E)
@@ -309,17 +309,15 @@ def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:
 
 def waction_leq(p1: WActPair, p2: WActPair) -> bool:
     """(E1, [a1]) <= (E2, [a2]): E1's fibers refine E2's and
-    a1(h,n) ~ a2(h,n) in E2's fiber over h for all h, n."""
+    a1(h,n) ~ a2(h,n) in E2's fiber over h for all h, n.  A fiber a refines
+    b when the pairs (a[n], b[n]) are as many as the classes of a."""
     if p1.N != p2.N or p1.H != p2.H:
         raise FormatError("pairs do not share the same N and H")
     f1, f2 = p1.E.fibers, p2.E.fibers
+    for a, b in zip(f1, f2):
+        if len(set(zip(a, b))) != len(set(a)):
+            return False
     N, H = p1.N, p1.H
-    for h in H.elements:
-        a, b = f1[h], f2[h]
-        for n1 in N.elements:
-            for n2 in range(n1 + 1, N.size):
-                if a[n1] == a[n2] and b[n1] != b[n2]:
-                    return False
     a1, a2 = p1.alpha.act, p2.alpha.act
     for h in H.elements:
         f = f2[h]

@@ -19,8 +19,10 @@ from wschreier.monoid import (
     FiniteMonoid,
     FormatError,
     MonoidHom,
+    PreconditionError,
     Verdict,
     Violation,
+    check_hom,
     generating_plan,
     inverse_structure,
 )
@@ -630,3 +632,87 @@ class _EnumerationCache:
 @pytest.fixture(scope="session")
 def enum_cache():
     return _EnumerationCache()
+
+
+# ---------------------------------------------------------------------------
+# derivations kept as references for the factor table of SplitExtension
+
+
+def reference_retraction_candidates(ext) -> tuple:
+    """The G x N scan that reading ext.ks replaced: for each g, the sorted
+    tuple of n with k(n) * s(e(g)) = g, each product worked out in G."""
+    t = ext.G.table
+    k, e, s = ext.k.map, ext.e.map, ext.s.map
+    out = []
+    for g in ext.G.elements:
+        sg = s[e[g]]
+        out.append(tuple([n for n in ext.N.elements if t[k[n]][sg] == g]))
+    return tuple(out)
+
+
+def reference_extension_morphism(a, b):
+    """The extension_morphism that the factor table replaced: both ends are
+    tested for a retraction (find_retraction, here by its candidates), and
+    the images of each g are found by rescanning N for the n with
+    k_a(n) * s_a(e_a(g)) = g."""
+    if a.N != b.N or a.H != b.H:
+        raise FormatError("extensions do not share the same N and H")
+    for ext in (a, b):
+        if not all(reference_retraction_candidates(ext)):
+            raise PreconditionError("extension is not weakly Schreier")
+    ta, tb = a.G.table, b.G.table
+    ka, sa, ea = a.k.map, a.s.map, a.e.map
+    kb, sb = b.k.map, b.s.map
+    fmap = []
+    for g in a.G.elements:
+        h = ea[g]
+        sag, sbg = sa[h], sb[h]
+        images = {tb[kb[n]][sbg] for n in a.N.elements if ta[ka[n]][sag] == g}
+        if len(images) != 1:
+            return None
+        fmap.append(images.pop())
+    verdict = check_hom(a.G, b.G, tuple(fmap))
+    if not verdict.ok:
+        return None
+    f = verdict.value
+    for n in a.N.elements:
+        if f.map[ka[n]] != kb[n]:
+            return None
+    for g in a.G.elements:
+        if b.e.map[f.map[g]] != ea[g]:
+            return None
+    for h in a.H.elements:
+        if f.map[sa[h]] != sb[h]:
+            return None
+    return f
+
+
+def reference_waction_leq(p1, p2) -> bool:
+    """The pair loop that one class map per fiber replaced: E1 refines E2
+    when no pair n1 < n2 related in a fiber of E1 is split in E2's."""
+    if p1.N != p2.N or p1.H != p2.H:
+        raise FormatError("pairs do not share the same N and H")
+    f1, f2 = p1.E.fibers, p2.E.fibers
+    N, H = p1.N, p1.H
+    for h in H.elements:
+        a, b = f1[h], f2[h]
+        for n1 in N.elements:
+            for n2 in range(n1 + 1, N.size):
+                if a[n1] == a[n2] and b[n1] != b[n2]:
+                    return False
+    a1, a2 = p1.alpha.act, p2.alpha.act
+    for h in H.elements:
+        f = f2[h]
+        for n in N.elements:
+            if f[a1[h][n]] != f[a2[h][n]]:
+                return False
+    return True
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raised, so
+    that a function and its reference can be compared on failing input."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))

@@ -1,7 +1,21 @@
+import importlib
+from dataclasses import fields, replace
+
 import pytest
 
-from conftest import naive_weakly_schreier
-from wschreier.catalog import chain_lattice, trivial_monoid
+from conftest import (
+    naive_weakly_schreier,
+    outcome,
+    reference_extension_morphism,
+    reference_retraction_candidates,
+)
+from wschreier.catalog import (
+    catalog_inverse_monoids,
+    catalog_monoids,
+    chain_lattice,
+    cyclic_group,
+    trivial_monoid,
+)
 from wschreier.extension import (
     SchreierRetraction,
     SplitExtension,
@@ -15,6 +29,7 @@ from wschreier.extension import (
     verify_split_extension,
 )
 from wschreier.frames import artin_glueing
+from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.monoid import (
     BoundExceeded,
     ConsistencyError,
@@ -24,6 +39,10 @@ from wschreier.monoid import (
     direct_product,
     identity_hom,
 )
+from wschreier.waction import DEFAULT_BOUND, build_extension, enumerate_wactions
+
+# the package exports a function named like this module
+extension_mod = importlib.import_module("wschreier.extension")
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +187,14 @@ class TestRetraction:
         with pytest.raises(FormatError):
             SchreierRetraction(glued_chain, (1, 0, 0), unique=False)
 
+    @pytest.mark.parametrize("bad", [0.0, False, 1.0, True])
+    def test_non_int_retraction_value_rejected(self, product_ext, bad):
+        # (0, 0, 1, 1) is the retraction; an equal float or bool is not
+        q = list(find_retraction(product_ext).value.q)
+        q[q.index(int(bad))] = bad
+        with pytest.raises(FormatError, match="retraction value %r out of range" % (bad,)):
+            SchreierRetraction(product_ext, tuple(q), unique=True)
+
     def test_trivial_kernel_retraction_is_constant(self, sl2):
         t1 = trivial_monoid()
         ext = verify_split_extension(direct_product_extension(t1, sl2)).value
@@ -244,3 +271,107 @@ class TestCarrierBuilder:
         # s(h) = (0, 0) for every h is a monoid hom but not a section of e
         with pytest.raises(ConsistencyError, match="test carrier fails extension laws"):
             self.build(sl2, ((0, 0), (1, 0), (0, 1), (1, 1)), s=((0, 0), (0, 0)))
+
+
+def extension_mutants(N, H):
+    """direct_product_extension(N, H) with one entry of e or of s moved, as
+    unverified extensions: not split, not weakly Schreier, or not homs."""
+    base = direct_product_extension(N, H)
+    G = base.G
+    for g in G.elements:
+        for h in H.elements:
+            if h != base.e.map[g]:
+                e = base.e.map[:g] + (h,) + base.e.map[g + 1 :]
+                yield replace(base, e=MonoidHom(G, H, e))
+    for h in H.elements:
+        for g in G.elements:
+            if g != base.s.map[h]:
+                s = base.s.map[:h] + (g,) + base.s.map[h + 1 :]
+                yield replace(base, s=MonoidHom(H, G, s))
+
+
+class TestFactorTable:
+    """ks[h][n] = k(n) * s(h), derived once by SplitExtension and read by
+    retraction_candidates and extension_morphism; compared with the scans
+    over G x N that it replaced (conftest.reference_*)."""
+
+    def test_entries_are_the_products(self, sl2, product_ext, glued_chain, diagonal_section):
+        for ext in (product_ext, glued_chain, diagonal_section):
+            t = ext.G.table
+            assert ext.ks == tuple(
+                tuple(t[ext.k.map[n]][ext.s.map[h]] for n in ext.N.elements)
+                for h in ext.H.elements
+            )
+        assert "ks" not in {f.name for f in fields(SplitExtension)}
+        assert "ks" not in repr(product_ext)
+        other = verify_split_extension(direct_product_extension(sl2, sl2)).value
+        assert other == product_ext and hash(other) == hash(product_ext)
+
+    def check_against_references(self, exts):
+        """Candidates of each extension, and morphisms between every ordered
+        pair; returns how many morphisms exist."""
+        found = 0
+        for a in exts:
+            assert retraction_candidates(a) == reference_retraction_candidates(a)
+            for b in exts:
+                got = outcome(extension_morphism, a, b)
+                assert got == outcome(reference_extension_morphism, a, b)
+                found += got is not None
+        return found
+
+    def test_lambda_products_match_references(self):
+        catalog = catalog_inverse_monoids(3)
+        pairs = found = 0
+        for N in catalog:
+            for H in catalog:
+                exts = [lambda_product(a).extension for a in enumerate_inverse_actions(N, H)]
+                found += self.check_against_references(exts)
+                pairs += len(exts) ** 2
+        assert pairs == 1201  # the pairs of acceptance criterion 4
+        assert 0 < found < pairs
+
+    def test_built_extensions_match_references(self):
+        catalog = catalog_monoids(3)
+        built = 0
+        for N in catalog:
+            for H in catalog:
+                if N.size * H.size <= DEFAULT_BOUND:
+                    exts = [build_extension(p) for p in enumerate_wactions(N, H)]
+                    self.check_against_references(exts)
+                    built += len(exts)
+        assert built == 757
+
+    def test_unverified_extensions_match_references(self, sl2, sl3, c2):
+        refused = 0
+        for N, H in ((sl2, sl2), (sl3, sl2), (sl2, c2), (c2, sl3)):
+            base = direct_product_extension(N, H)
+            for m in extension_mutants(N, H):
+                assert retraction_candidates(m) == reference_retraction_candidates(m)
+                for a, b in ((m, base), (base, m), (m, m)):
+                    got = outcome(extension_morphism, a, b)
+                    assert got == outcome(reference_extension_morphism, a, b)
+                    refused += got == ("PreconditionError", "extension is not weakly Schreier")
+        assert refused > 0
+
+    def test_not_weakly_schreier_matches_reference(self, diagonal_section, product_ext):
+        for a, b in ((diagonal_section, product_ext), (product_ext, diagonal_section)):
+            got = outcome(extension_morphism, a, b)
+            assert got == ("PreconditionError", "extension is not weakly Schreier")
+            assert got == outcome(reference_extension_morphism, a, b)
+
+    def test_lambda_product_builds_three_homs(self, monkeypatch, alpha_a):
+        built = []
+        post = MonoidHom.__post_init__
+        monkeypatch.setattr(MonoidHom, "__post_init__", lambda f: built.append(f) or post(f))
+        lam = lambda_product(alpha_a)
+        assert built == [lam.extension.e, lam.extension.k, lam.extension.s]
+
+    def test_morphism_finds_no_retraction(self, monkeypatch, product_ext, glued_chain):
+        calls = []
+        real = extension_mod.find_retraction
+        monkeypatch.setattr(
+            extension_mod, "find_retraction", lambda ext: calls.append(ext) or real(ext)
+        )
+        assert extension_morphism(product_ext, glued_chain) is not None
+        assert extensions_equivalent(product_ext, product_ext)
+        assert calls == []

@@ -154,7 +154,7 @@ class TestValidateOnce:
     def test_meet_hom_checked_once_and_join_on_every_call(self, monkeypatch, sl2, sl3):
         f = MonoidHom(sl2, sl3, (0, 1))
         g = MonoidHom(sl2, sl3, (0, 2))
-        frame_checks = counting(monkeypatch, frames_mod, "check_hom")
+        frame_checks = counting(monkeypatch, frames_mod, "_hom_laws")
         join_checks = counting(monkeypatch, lambda_mod, "check_hom")
         for _ in range(3):
             assert glueing_join(f, g).map == (0, 2)
@@ -165,7 +165,7 @@ class TestValidateOnce:
 
     def test_failed_hom_check_is_repeated(self, monkeypatch, sl3, sl2):
         f = MonoidHom(sl3, sl2, (0, 1, 0))
-        calls = counting(monkeypatch, frames_mod, "check_hom")
+        calls = counting(monkeypatch, frames_mod, "_hom_laws")
         for _ in range(3):
             with pytest.raises(PreconditionError, match="check_hom failed: hom-mul"):
                 glueing_join(f, f)

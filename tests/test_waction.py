@@ -11,11 +11,19 @@ from conftest import (
     naive_wschreier_pairs,
     normalize_classes,
     reference_compatible_actions,
+    reference_waction_leq,
     reference_wactions,
     relabelled,
     set_partitions,
 )
-from wschreier.catalog import catalog_monoids, chain_lattice, cyclic_group, diamond_lattice
+from wschreier.catalog import (
+    catalog_inverse_monoids,
+    catalog_monoids,
+    central_idempotent_homs,
+    chain_lattice,
+    cyclic_group,
+    diamond_lattice,
+)
 from wschreier.extension import (
     direct_product_extension,
     extension_morphism,
@@ -23,6 +31,7 @@ from wschreier.extension import (
     find_retraction,
     verify_split_extension,
 )
+from wschreier.lambda_product import artin_like_action, join_hom, waction_of
 from wschreier.monoid import BoundExceeded, FormatError, PreconditionError
 from wschreier.waction import (
     DEFAULT_BOUND,
@@ -111,6 +120,14 @@ class TestCompatibleAction:
         for act in (alpha_a.act, alpha_0.act):
             a = ActionTable(collapse_E.N, collapse_E.H, act)
             assert check_compatible_action(collapse_E, a).ok
+
+    @pytest.mark.parametrize("bad", [1.0, True, 0.0, False])
+    def test_non_int_cell_rejected(self, collapse_E, alpha_a, bad):
+        # alpha_a's second row is (1, 1, 1); an equal float or bool is no cell
+        rows = [list(row) for row in alpha_a.act]
+        rows[1][0] = bad
+        with pytest.raises(FormatError, match="action value %r out of range" % (bad,)):
+            ActionTable(collapse_E.N, collapse_E.H, rows)
 
     def test_action_unit_h_violation(self, sl3, sl2):
         E = AdmissibleRelation.discrete(sl3, sl2)
@@ -332,3 +349,39 @@ class TestOrder:
                 for j, p2 in enumerate(pairs):
                     has_morphism = extension_morphism(exts[i], exts[j]) is not None
                     assert waction_leq(p1, p2) == has_morphism
+
+    def test_leq_matches_reference_on_small_catalog(self, enum_cache):
+        compared = holds = 0
+        for N, H in IN_BOUND:
+            if N.size * H.size <= 6:
+                pairs = enum_cache.wactions(N, H)
+                for p1 in pairs:
+                    for p2 in pairs:
+                        got = waction_leq(p1, p2)
+                        assert got == reference_waction_leq(p1, p2)
+                        compared += 1
+                        holds += got
+        assert compared == 728
+        assert 0 < holds < compared
+
+    def test_leq_matches_reference_on_join_inputs(self):
+        """The pairs of acceptance criterion 6: the waction_of of every
+        central-idempotent hom and of every pointwise join, against each
+        other and against the enumerated pairs within the bound."""
+        catalog = catalog_inverse_monoids(4)
+        compared = holds = 0
+        for Niv in catalog:
+            for Hiv in catalog:
+                N, H = Niv.base, Hiv.base
+                homs = central_idempotent_homs(H, N)
+                maps = set(homs) | {join_hom(f, g) for f in homs for g in homs}
+                pairs = [waction_of(artin_like_action(f)) for f in maps]
+                enum = enumerate_wactions(N, H) if N.size * H.size <= DEFAULT_BOUND else ()
+                for p1 in pairs:
+                    for p2 in pairs + list(enum):
+                        got = waction_leq(p1, p2)
+                        assert got == reference_waction_leq(p1, p2)
+                        compared += 1
+                        holds += got
+        assert compared == 5978
+        assert 0 < holds < compared
