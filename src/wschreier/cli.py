@@ -76,6 +76,20 @@ def _bound() -> int:
         raise FormatError("WSCHREIER_BOUND must be an integer, got %r" % raw)
 
 
+class _Refusal(Exception):
+    """A law failed on the input.  Its args are the report lines, which run
+    prints before it exits 1."""
+
+
+def _passed(verdict, header, every=False):
+    """The value of a passed verdict.  Otherwise a _Refusal of header and a
+    violation line for the first violation, or for each one with every."""
+    if verdict.ok:
+        return verdict.value
+    shown = verdict.violations if every else verdict.violations[:1]
+    raise _Refusal(header, *["violation %s" % v for v in shown])
+
+
 def _classify(M) -> str:
     t = M.table
     if all(
@@ -92,50 +106,28 @@ def _classify(M) -> str:
 
 def cmd_check(args) -> int:
     M = wio.load_monoid(args.monoid, validate=False)
-    verdict = check_monoid(M.table, M.identity, M.labels)
-    if not verdict.ok:
-        print("monoid: invalid")
-        for v in verdict.violations:
-            print("violation %s" % v)
-        return 1
-    M = verdict.value
+    M = _passed(check_monoid(M.table, M.identity, M.labels), "monoid: invalid", every=True)
     print("monoid: valid")
     print("inverse: %s%s" % ("yes" if inverse_structure(M).ok else "no", _classify(M)))
     if args.as_frame:
-        fr = check_frame(M)
-        if not fr.ok:
-            print("frame: no")
-            print("violation %s" % fr.violations[0])
-            return 1
+        frame = _passed(check_frame(M), "frame: no")
         print("frame: yes")
-        print("bottom: %s" % M.label(fr.value.bottom))
+        print("bottom: %s" % M.label(frame.bottom))
     return 0
 
 
 def cmd_inverse(args) -> int:
     M = wio.load_monoid(args.monoid)
-    verdict = inverse_structure(M)
-    if verdict.ok:
-        print("inverse: yes%s" % _classify(M))
-        print("inv: %s" % " ".join(str(v) for v in verdict.value.inv))
-        return 0
-    print("inverse: no")
-    for v in verdict.violations:
-        print("violation %s" % v)
-    return 1
+    inv = _passed(inverse_structure(M), "inverse: no", every=True)
+    print("inverse: yes%s" % _classify(M))
+    print("inv: %s" % " ".join(str(v) for v in inv.inv))
+    return 0
 
 
 def _inverse_pair(N, H):
-    """Inverse structures for both monoids, or a report line and None."""
-    out = []
-    for name, M in (("N", N), ("H", H)):
-        verdict = inverse_structure(M)
-        if not verdict.ok:
-            print("inverse %s: no" % name)
-            print("violation %s" % verdict.violations[0])
-            return None
-        out.append(verdict.value)
-    return out
+    """Inverse structures for both monoids; a _Refusal names the first
+    that has none."""
+    return [_passed(inverse_structure(M), "inverse %s: no" % x) for x, M in (("N", N), ("H", H))]
 
 
 def _emit_extension(ext, out_path, name):
@@ -167,17 +159,10 @@ def _emit_extension(ext, out_path, name):
 
 def cmd_lambda(args) -> int:
     table = wio.load_action(args.action)
-    pair = _inverse_pair(table.N, table.H)
-    if pair is None:
-        return 1
-    n_inv, h_inv = pair
-    verdict = check_inverse_action(n_inv, h_inv, table.act)
-    if not verdict.ok:
-        print("action: invalid")
-        print("violation %s" % verdict.violations[0])
-        return 1
+    n_inv, h_inv = _inverse_pair(table.N, table.H)
+    action = _passed(check_inverse_action(n_inv, h_inv, table.act), "action: invalid")
     print("action: valid")
-    lam = lambda_product(verdict.value)
+    lam = lambda_product(action)
     print("carrier: %d" % lam.monoid.size)
     print("weakly-schreier: yes")
     print("schreier: %s" % ("yes" if lam.retraction.unique else "no"))
@@ -189,17 +174,9 @@ def cmd_lambda(args) -> int:
 def cmd_glue(args) -> int:
     f = wio.load_hom(args.map, validate=False)
     for name, M in (("source", f.source), ("target", f.target)):
-        fr = check_frame(M)
-        if not fr.ok:
-            print("frame %s: no" % name)
-            print("violation %s" % fr.violations[0])
-            return 1
+        _passed(check_frame(M), "frame %s: no" % name)
     print("frames: yes")
-    hv = _hom_laws(f)
-    if not hv.ok:
-        print("meet-hom: no")
-        print("violation %s" % hv.violations[0])
-        return 1
+    _passed(_hom_laws(f), "meet-hom: no")
     print("meet-hom: yes")
     _, ext = artin_glueing(f)
     print("carrier: %d" % ext.G.size)
@@ -211,62 +188,46 @@ def cmd_glue(args) -> int:
 
 def cmd_extract(args) -> int:
     ext, n_ref, h_ref = wio._load_extension(args.extension)
-    verdict = verify_split_extension(ext)
-    if not verdict.ok:
-        print("extension: invalid")
-        print("violation %s" % verdict.violations[0])
-        return 1
+    _passed(verify_split_extension(ext), "extension: invalid")
     print("extension: valid")
-    ret = find_retraction(verdict.value)
-    if not ret.ok:
-        print("weakly-schreier: no")
-        print("violation %s" % ret.violations[0])
-        return 1
+    r = _passed(find_retraction(ext), "weakly-schreier: no")
     print("weakly-schreier: yes")
-    print("schreier: %s" % ("yes" if ret.value.unique else "no"))
-    pair = extract_waction(verdict.value, ret.value)
+    print("schreier: %s" % ("yes" if r.unique else "no"))
+    pair = extract_waction(ext, r)
     sys.stdout.write(wio.serialize_wact_pair(pair, n_ref, h_ref, "extracted"))
     return 0
 
 
 def _load_comparand(path):
-    """An extension from an .act, .ext or .wact file, or (line, None) on
-    mathematical failure."""
+    """An extension from an .act, .ext or .wact file; a _Refusal of one line
+    names the first law that fails."""
     if path.endswith(".act"):
         table = wio.load_action(path)
         n_inv = inverse_structure(table.N)
         h_inv = inverse_structure(table.H)
         if not n_inv.ok or not h_inv.ok:
-            return "inverse: no (%s)" % path, None
+            raise _Refusal("inverse: no (%s)" % path)
         verdict = check_inverse_action(n_inv.value, h_inv.value, table.act)
         if not verdict.ok:
-            return "action: invalid (%s)" % path, None
-        return None, lambda_product(verdict.value).extension
+            raise _Refusal("action: invalid (%s)" % path)
+        return lambda_product(verdict.value).extension
     if path.endswith(".wact"):
         pair = wio.load_wact_pair(path)
         if not check_admissible(pair.E).ok:
-            return "admissible: no (%s)" % path, None
+            raise _Refusal("admissible: no (%s)" % path)
         if not check_compatible_action(pair.E, pair.alpha).ok:
-            return "compatible: no (%s)" % path, None
-        return None, build_extension(pair)
+            raise _Refusal("compatible: no (%s)" % path)
+        return build_extension(pair)
     ext = wio.load_extension(path)
-    verdict = verify_split_extension(ext)
-    if not verdict.ok:
-        return "extension: invalid (%s)" % path, None
-    if not find_retraction(verdict.value).ok:
-        return "weakly-schreier: no (%s)" % path, None
-    return None, verdict.value
+    if not verify_split_extension(ext).ok:
+        raise _Refusal("extension: invalid (%s)" % path)
+    if not find_retraction(ext).ok:
+        raise _Refusal("weakly-schreier: no (%s)" % path)
+    return ext
 
 
 def cmd_compare(args) -> int:
-    exts = []
-    for path in (args.a, args.b):
-        line, ext = _load_comparand(path)
-        if ext is None:
-            print(line)
-            return 1
-        exts.append(ext)
-    a, b = exts
+    a, b = _load_comparand(args.a), _load_comparand(args.b)
     ab = extension_morphism(a, b) is not None
     ba = extension_morphism(b, a) is not None
     print("a<=b: %s" % ("yes" if ab else "no"))
@@ -282,16 +243,10 @@ def cmd_join(args) -> int:
         raise FormatError("join requires parallel maps")
     allowed = set(idempotents(f.target)) & set(center(f.target))
     for name, m in (("f", f), ("g", g)):
-        hv = _hom_laws(m)
-        if not hv.ok:
-            print("hom %s: no" % name)
-            print("violation %s" % hv.violations[0])
-            return 1
+        _passed(_hom_laws(m), "hom %s: no" % name)
         bad = [h for h in m.source.elements if m.map[h] not in allowed]
         if bad:
-            print("central-idempotent %s: no" % name)
-            print("violation image: %s" % bad[0])
-            return 1
+            raise _Refusal("central-idempotent %s: no" % name, "violation image: %s" % bad[0])
     joined = join_hom(f, g)
     print("join: valid")
     print("map: %s" % " ".join(str(v) for v in joined.map))
@@ -305,10 +260,7 @@ def cmd_enumerate(args) -> int:
     # a --limit below 1 lists nothing
     limit = None if args.limit is None else max(args.limit, 0)
     if args.actions:
-        pair = _inverse_pair(N, H)
-        if pair is None:
-            return 1
-        actions = enumerate_inverse_actions(*pair)
+        actions = enumerate_inverse_actions(*_inverse_pair(N, H))
         for i, a in enumerate(actions[:limit]):
             print("action %d:" % i)
             print("\n".join(wio._format_act(a.act)))
@@ -446,6 +398,9 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except _Refusal as exc:
+        print("\n".join(exc.args))
+        return 1
     except (FormatError, BoundExceeded, OSError) as exc:  # ParseError is a FormatError
         print("error: %s" % exc)
         return 2

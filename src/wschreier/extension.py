@@ -9,7 +9,7 @@ hom laws of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from .monoid import (
@@ -21,6 +21,7 @@ from .monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    _bad_cell,
     _hom_laws,
     check_hom,
     check_monoid,
@@ -43,10 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitExtension:
-    """Bundle (N, G, H, k, e, s); verified is set by verify_split_extension.
+    """Bundle (N, G, H, k, e, s).
 
-    ks[h][n] = k(n) * s(h) is the factor table, derived once per instance;
-    like FiniteMonoid.elements it takes no part in equality, hashing or repr.
+    ks[h][n] = k(n) * s(h) is the factor table, derived once per instance.
+    verified starts False, and verify_split_extension sets it on the instance
+    it passes.  Like FiniteMonoid.elements, neither takes part in equality,
+    hashing or repr.
     """
 
     N: FiniteMonoid
@@ -55,7 +58,6 @@ class SplitExtension:
     k: MonoidHom
     e: MonoidHom
     s: MonoidHom
-    verified: bool = False
 
     def __post_init__(self):
         if self.k.source != self.N or self.k.target != self.G:
@@ -67,32 +69,39 @@ class SplitExtension:
         t = self.G.table
         ks = tuple([tuple([t[kn][sh] for kn in self.k.map]) for sh in self.s.map])
         object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "verified", False)
 
 
 @dataclass(frozen=True)
 class SchreierRetraction:
     """A map q: G -> N with k(q(g)) * s(e(g)) = g for every g.
 
-    unique records whether q is the only such map (the Schreier case).
+    The constructor checks q against the factor table ext.ks, the one check
+    of a q that a caller passes in; unique is read off the same table.
     """
 
     ext: SplitExtension
     q: tuple
-    unique: bool = False
 
     def __post_init__(self):
         ext = self.ext
         q = tuple(self.q)
         if len(q) != ext.G.size:
             raise FormatError("retraction has %d entries, expected %d" % (len(q), ext.G.size))
+        if (g := _bad_cell(q, ext.N.size)) is not None:
+            raise FormatError("retraction value %r out of range" % (q[g],))
         ks, e = ext.ks, ext.e.map
         for g in ext.G.elements:
-            n = q[g]
-            if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < ext.N.size:
-                raise FormatError("retraction value %r out of range" % (n,))
-            if ks[e[g]][n] != g:
-                raise FormatError("q(%d) = %d does not factor g" % (g, n))
+            if ks[e[g]][q[g]] != g:
+                raise FormatError("q(%d) = %d does not factor g" % (g, q[g]))
         object.__setattr__(self, "q", q)
+
+    @property
+    def unique(self) -> bool:
+        """Whether q is the only such map (the Schreier case): every row of
+        ext.ks is injective.  In a split extension row h lies over h, so a
+        repeat in it is a g with more than one candidate n."""
+        return all(len(set(row)) == len(row) for row in self.ext.ks)
 
     def __call__(self, g: int) -> int:
         return self.q[g]
@@ -103,7 +112,7 @@ def verify_split_extension(ext: SplitExtension) -> Verdict:
 
     Laws: k, e, s are homs; e o s = id; k is injective with image exactly
     the e-preimage of the identity; e is the cokernel of k.  On success the
-    value is the extension with verified=True.
+    value is ext itself, now marked verified.
     """
     for name, f in (("k", ext.k), ("e", ext.e), ("s", ext.s)):
         v = _hom_laws(f)
@@ -125,17 +134,20 @@ def verify_split_extension(ext: SplitExtension) -> Verdict:
         return Verdict(None, (Violation("kernel-image", (g,)),))
     if not is_cokernel(ext.k, ext.e):
         return Verdict(None, (Violation("cokernel"),))
-    return Verdict(replace(ext, verified=True))
+    object.__setattr__(ext, "verified", True)
+    return Verdict(ext)
 
 
 def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
-    """The verified split extension of H by N on a carrier of pairs (n, h).
+    """The verified split extension of H by N on a carrier of pairs (n, h),
+    and its first projection (n, h) -> n as a Schreier retraction.
 
     carrier lists the pairs h-major; products[i][j] is the pair of
     carrier[i] * carrier[j] and s[h] the pair of s(h).  k(n) = (n, 1) and e
     is the second projection.  Elements are labelled brackets % (n, h).
-    Closure, the monoid laws and the split-extension laws are all checked;
-    any failure raises ConsistencyError naming what was built.
+    Closure, the monoid laws, the split-extension laws and the retraction
+    are all checked; any failure raises ConsistencyError naming what was
+    built.  Returns (extension, retraction).
     """
     index = {p: i for i, p in enumerate(carrier)}
     one = H.identity
@@ -161,7 +173,12 @@ def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
     verdict = verify_split_extension(ext)
     if not verdict.ok:
         raise ConsistencyError("%s fails extension laws: %s" % (what, verdict.violations[0]))
-    return verdict.value
+    try:
+        return ext, SchreierRetraction(ext, tuple([n for n, _ in carrier]))
+    except FormatError as exc:
+        raise ConsistencyError(
+            "%s first projection is no Schreier retraction: %s" % (what, exc)
+        ) from None
 
 
 def retraction_candidates(ext: SplitExtension) -> tuple:
@@ -176,9 +193,7 @@ def find_retraction(ext: SplitExtension) -> Verdict:
     for g, options in enumerate(cands):
         if not options:
             return Verdict(None, (Violation("weakly-schreier", (g,)),))
-    q = tuple(options[0] for options in cands)
-    unique = all(len(options) == 1 for options in cands)
-    return Verdict(SchreierRetraction(ext, q, unique))
+    return Verdict(SchreierRetraction(ext, tuple([options[0] for options in cands])))
 
 
 def all_retractions(ext: SplitExtension, limit: int = 64) -> tuple:
@@ -193,10 +208,7 @@ def all_retractions(ext: SplitExtension, limit: int = 64) -> tuple:
         total *= len(options)
     if total > limit:
         raise BoundExceeded("%d retractions exceed limit %d" % (total, limit), total)
-    return tuple(
-        SchreierRetraction(ext, qs, unique=(total == 1))
-        for qs in product(*cands)
-    )
+    return tuple(SchreierRetraction(ext, qs) for qs in product(*cands))
 
 
 def extension_morphism(a: SplitExtension, b: SplitExtension) -> MonoidHom | None:

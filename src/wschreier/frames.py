@@ -12,8 +12,9 @@ The Artin glueing Gl(f) of f: H -> N is the frame of pairs
 product of the action h.n = f(h) meet n, and pointwise meet of maps gives
 the join of glueings.  artin_glueing builds its own carrier and meet and
 hands them to the extension builder shared with lambda_product and
-build_extension (extension._extension_on_carrier), so glueing_equals_lambda
-compares two independent constructions.
+build_extension (extension._extension_on_carrier), which also checks that
+(n, h) -> n is a Schreier retraction, so glueing_equals_lambda compares two
+independent constructions.
 
 Frames and meet-homs are validated once per instance.  check_frame keeps its
 label-free result on the FiniteMonoid, and the glueing functions keep a
@@ -35,7 +36,7 @@ from .monoid import (
     Violation,
     _hom_laws,
 )
-from .extension import SchreierRetraction, _extension_on_carrier
+from .extension import _extension_on_carrier
 from .lambda_product import LambdaProduct, artin_like_action, join_hom, lambda_product
 
 __all__ = [
@@ -167,11 +168,10 @@ def _glueing(f: MonoidHom):
     carrier = tuple([(n, h) for h in H.elements for n in N.elements if leq[n][f.map[h]]])
     products = [[(tn[n1][n2], th[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
     s = [(f.map[h], h) for h in H.elements]
-    ext = _extension_on_carrier(N, H, carrier, products, s, "glueing")
+    ext, _ = _extension_on_carrier(N, H, carrier, products, s, "glueing")
     glued = check_frame(ext.G)
     if not glued.ok:
         raise ConsistencyError("glueing carrier fails frame laws: %s" % (glued.violations[0],))
-    SchreierRetraction(ext, tuple([n for n, _ in carrier]), unique=False)
     return glued.value, ext, carrier
 
 
@@ -180,9 +180,9 @@ def artin_glueing(f: MonoidHom):
 
     Carrier pairs (n, h) with n <= f(h) under componentwise meet, ordered by
     h then n; k(n) = (n, top), e = second projection, s(h) = (f(h), h), and
-    (n, h) -> n is a Schreier retraction.  Returns (FiniteFrame,
-    SplitExtension); the frame laws of the carrier are re-checked and a
-    failure raises ConsistencyError.
+    the builder checks that (n, h) -> n is a Schreier retraction.  Returns
+    (FiniteFrame, SplitExtension); the frame laws of the carrier are
+    re-checked and a failure raises ConsistencyError.
     """
     frame, ext, _ = _glueing(f)
     return frame, ext

@@ -9,11 +9,12 @@ not required.  The lambda semidirect product lives on the carrier
 
 and is a weakly Schreier extension of H by N via k(n) = (n, 1), e = second
 projection, s(h) = ((h h^-1).1, h), with the first projection as a Schreier
-retraction.  lambda_product assembles and verifies it with the extension
-builder shared with frames.artin_glueing and waction.build_extension
-(extension._extension_on_carrier).  Artin-like actions h.n = f(h) n, for f
-a hom into the central idempotents of N, carry binary joins: the pointwise
-product of f and g is the join of the induced extensions.
+retraction.  lambda_product assembles and verifies it, that retraction
+included, with the extension builder shared with frames.artin_glueing and
+waction.build_extension (extension._extension_on_carrier).  Artin-like
+actions h.n = f(h) n, for f a hom into the central idempotents of N, carry
+binary joins: the pointwise product of f and g is the join of the induced
+extensions.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from .monoid import (
     idempotents,
     inverse_structure,
 )
-from .extension import (
-    SchreierRetraction,
-    SplitExtension,
-    _extension_on_carrier,
-    retraction_candidates,
-)
+from .extension import SchreierRetraction, SplitExtension, _extension_on_carrier
 from .waction import ActionTable, AdmissibleRelation, WActPair
 
 __all__ = [
@@ -132,9 +128,10 @@ def lambda_product(a: InverseAction) -> LambdaProduct:
 
     The action is validated first (PreconditionError if not).  The carrier,
     its twisted product and s go to the shared extension builder, which
-    checks closure, the monoid laws and the split-extension laws and raises
-    ConsistencyError on a failure, since each is a theorem for a valid
-    action.  The first projection is then checked as a Schreier retraction.
+    checks closure, the monoid laws, the split-extension laws and the first
+    projection as a Schreier retraction, and raises ConsistencyError on a
+    failure, since each is a theorem for a valid action.  That retraction
+    comes back with the extension.
     """
     check_inverse_action(a.N, a.H, a.act).expect("check_inverse_action")
     N, H = a.N.base, a.H.base
@@ -149,9 +146,7 @@ def lambda_product(a: InverseAction) -> LambdaProduct:
             [(tn[idem_rows[th1[h2]][n1]][row1[n2]], th1[h2]) for n2, h2 in carrier]
         )
     s = [(idem_rows[h][N.identity], h) for h in H.elements]
-    ext = _extension_on_carrier(N, H, carrier, products, s, "lambda product")
-    unique = all(len(c) == 1 for c in retraction_candidates(ext))
-    retraction = SchreierRetraction(ext, tuple([n for n, _ in carrier]), unique)
+    ext, retraction = _extension_on_carrier(N, H, carrier, products, s, "lambda product")
     return LambdaProduct(a, carrier, ext, retraction)
 
 

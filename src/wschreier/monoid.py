@@ -107,6 +107,15 @@ class _Rows(tuple):
     """Table rows that _as_table has already validated."""
 
 
+def _bad_cell(cells, bound: int):
+    """The index of the first cell that is not a plain int in 0..bound-1, or
+    None.  A bool is no plain int; other int subclasses pass."""
+    for i, v in enumerate(cells):
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+            return i
+    return None
+
+
 def _as_table(table) -> tuple:
     rows = tuple([tuple(row) for row in table])
     n = len(rows)
@@ -122,9 +131,8 @@ def _as_table(table) -> tuple:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise FormatError("row %d has %d entries, expected %d" % (i, len(row), n))
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise FormatError("entry (%d,%d) = %r out of range 0..%d" % (i, j, v, n - 1))
+        if (j := _bad_cell(row, n)) is not None:
+            raise FormatError("entry (%d,%d) = %r out of range 0..%d" % (i, j, row[j], n - 1))
     return rows
 
 
@@ -144,8 +152,10 @@ class FiniteMonoid:
 
     def __post_init__(self):
         rows = tuple(self.table) if type(self.table) is _Rows else _as_table(self.table)
+        if self.size != len(rows):
+            raise FormatError("size %r does not match the %d rows" % (self.size, len(rows)))
         object.__setattr__(self, "table", rows)
-        object.__setattr__(self, "size", len(rows))
+        object.__setattr__(self, "size", len(rows))  # an equal 2.0 or True becomes an int
         if not 0 <= self.identity < self.size:
             raise FormatError("identity index %r out of range" % (self.identity,))
         if self.labels is not None:
@@ -290,9 +300,8 @@ class MonoidHom:
         m = tuple(self.map)
         if len(m) != self.source.size:
             raise FormatError("hom map has %d entries, expected %d" % (len(m), self.source.size))
-        for i, v in enumerate(m):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.target.size:
-                raise FormatError("hom image of %d is %r, out of range" % (i, v))
+        if (i := _bad_cell(m, self.target.size)) is not None:
+            raise FormatError("hom image of %d is %r, out of range" % (i, m[i]))
         object.__setattr__(self, "map", m)
 
     def __call__(self, a: int) -> int:

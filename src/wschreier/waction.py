@@ -31,6 +31,7 @@ from .monoid import (
     FormatError,
     Verdict,
     Violation,
+    _bad_cell,
     _normalize_classes,
 )
 from .extension import SchreierRetraction, SplitExtension, _extension_on_carrier
@@ -132,9 +133,8 @@ class ActionTable:
         for row in act:
             if len(row) != self.N.size:
                 raise FormatError("action rows must cover N")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.N.size:
-                    raise FormatError("action value %r out of range" % (v,))
+            if (j := _bad_cell(row, self.N.size)) is not None:
+                raise FormatError("action value %r out of range" % (row[j],))
         object.__setattr__(self, "act", act)
 
     def __call__(self, h: int, n: int) -> int:
@@ -279,7 +279,7 @@ def build_extension(p: WActPair) -> SplitExtension:
             row.append((results.pop(), h))
         products.append(row)
     s = [(least[h][N.identity], h) for h in H.elements]
-    return _extension_on_carrier(N, H, carrier, products, s, "built extension", "[%s,%s]")
+    return _extension_on_carrier(N, H, carrier, products, s, "built extension", "[%s,%s]")[0]
 
 
 def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:
@@ -328,7 +328,8 @@ def waction_leq(p1: WActPair, p2: WActPair) -> bool:
 
 
 def _set_partitions(n: int):
-    """Partitions of 0..n-1 as restricted-growth strings, lexicographically."""
+    """Partitions of 0..n-1 as restricted-growth strings, lexicographically.
+    n is the size of a monoid, so at least 1."""
 
     def rec(prefix, maxc):
         i = len(prefix)
@@ -340,9 +341,6 @@ def _set_partitions(n: int):
             yield from rec(prefix, max(maxc, c))
             prefix.pop()
 
-    if n == 0:
-        yield ()
-        return
     yield from rec([0], 0)
 
 

@@ -1,15 +1,22 @@
-"""Compare the readers of the factor table SplitExtension.ks, and
-waction_leq, with the derivations they replaced, above the scale of the
-test suite.
+"""Compare the readers of the factor table SplitExtension.ks, the
+retraction the extension builder returns, and waction_leq, with the
+derivations they replaced, above the scale of the test suite.
 
     PYTHONPATH=src:tests python3 tests/compare_extensions.py
 
 The inputs are the 4789 lambda products over catalog_inverse_monoids(4),
 and the 1993 relation/action pairs of the 310 in-bound (N, H) pairs of
-catalog_monoids(4) with the extensions built from them.  Three sections:
+catalog_monoids(4) with the extensions built from them.  Five sections:
 
     candidates  retraction_candidates of every lambda product and every
                 built extension
+    unique      SchreierRetraction.unique, derived from the rows of ext.ks,
+                of the retraction the builder returned with each lambda
+                product and built extension, against the count of the
+                reference candidates: one for every g
+    retraction  that retraction against the first projection (n, h) -> n of
+                the builder's carrier, which the reference candidates must
+                admit at every g
     morphisms   extension_morphism between every ordered pair of built
                 extensions over the same (N, H), 31859 in all, and between
                 each lambda product and the next one over the same (N, H),
@@ -20,6 +27,8 @@ catalog_monoids(4) with the extensions built from them.  Three sections:
 The references are reference_retraction_candidates,
 reference_extension_morphism and reference_waction_leq from
 tests/conftest.py; a raised exception is compared by its type and message.
+The builder's carrier and retraction for a built extension are recorded
+by wrapping the waction module's reference to the builder for the run.
 Prints each difference and one line per section with the time each side
 took; exits 1 on any difference.
 """
@@ -27,6 +36,7 @@ took; exits 1 on any difference.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from functools import partial
@@ -44,16 +54,36 @@ from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.waction import DEFAULT_BOUND, build_extension, enumerate_wactions, waction_leq
 
 
+def derived_unique(r):
+    return r.unique
+
+
+def counted_unique(r):
+    return all(len(c) == 1 for c in reference_retraction_candidates(r.ext))
+
+
+def builder_retraction(carrier, ext, r):
+    return r.q if r.ext is ext else "retraction of another extension"
+
+
+def first_projection(carrier, ext, r):
+    q = tuple([n for n, _ in carrier])
+    cands = reference_retraction_candidates(ext)
+    return q if all(n in c for n, c in zip(q, cands)) else "no retraction"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.parse_args(argv)
     t0 = time.perf_counter()
     inverse = catalog_inverse_monoids(4)
-    lambdas = [
-        [lambda_product(a).extension for a in enumerate_inverse_actions(N, H)]
+    products = [
+        [lambda_product(a) for a in enumerate_inverse_actions(N, H)]
         for N in inverse
         for H in inverse
     ]
+    lambdas = [[lam.extension for lam in group] for group in products]
+    made = [(lam.carrier, lam.extension, lam.retraction) for group in products for lam in group]
     catalog = catalog_monoids(4)
     posets = [
         enumerate_wactions(N, H)
@@ -61,7 +91,19 @@ def main(argv=None) -> int:
         for H in catalog
         if N.size * H.size <= DEFAULT_BOUND
     ]
-    built = [[build_extension(pair) for pair in poset] for poset in posets]
+    waction = importlib.import_module("wschreier.waction")
+    builder = waction._extension_on_carrier
+
+    def recording(N, H, carrier, *rest):
+        ext, r = builder(N, H, carrier, *rest)
+        made.append((carrier, ext, r))
+        return ext, r
+
+    waction._extension_on_carrier = recording
+    try:
+        built = [[build_extension(pair) for pair in poset] for poset in posets]
+    finally:
+        waction._extension_on_carrier = builder
     print(
         "%d lambda products, %d pairs in %d posets in %.1f s"
         % (sum(map(len, lambdas)), sum(map(len, posets)), len(posets), time.perf_counter() - t0),
@@ -75,6 +117,16 @@ def main(argv=None) -> int:
     for group in lambdas + built:
         for ext in group:
             section.compare(new, ref, ext)
+    bad += section.report()
+
+    section = _Section("unique", "derived")
+    for _, _, r in made:
+        section.compare(derived_unique, counted_unique, r)
+    bad += section.report()
+
+    section = _Section("retraction", "builder")
+    for case in made:
+        section.compare(builder_retraction, first_projection, *case)
     bad += section.report()
 
     section = _Section("morphisms", "table")

@@ -15,10 +15,11 @@ from wschreier.io import (
     serialize_extension,
     serialize_hom,
     serialize_monoid,
+    serialize_wact_pair,
 )
 from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.monoid import ConsistencyError, MonoidHom, direct_product, inverse_structure
-from wschreier.waction import ActionTable, extract_waction
+from wschreier.waction import ActionTable, AdmissibleRelation, WActPair, extract_waction
 
 
 @pytest.fixture()
@@ -455,6 +456,108 @@ class TestPoset:
         assert 'label="size=2' in dot
         assert dot.count("[label=") == 1
         assert "->" not in dot
+
+
+class TestRefusals:
+    """The exit code and the whole stdout of each law refusal that the other
+    tests reach only through a substring, or not at all."""
+
+    @pytest.fixture()
+    def d(self, files, sl2, sl3):
+        def w(name, text):
+            (files / name).write_text(text, encoding="utf-8")
+
+        def wact(name, fibers, act):
+            pair = WActPair(AdmissibleRelation(sl2, sl2, fibers), ActionTable(sl2, sl2, act))
+            w(name, serialize_wact_pair(pair, "sl2.mon", "sl2.mon", name[:-5]))
+
+        wact("ok.wact", ((0, 1), (0, 1)), ((0, 1), (0, 1)))
+        wact("noadm.wact", ((0, 0), (0, 1)), ((0, 1), (0, 1)))  # identity fiber merged
+        wact("nocompat.wact", ((0, 1), (0, 1)), ((1, 1), (0, 1)))  # a(1, 1) is not 1
+        G = direct_product(sl2, sl2)
+        nosection = SplitExtension(
+            sl2,
+            G,
+            sl2,
+            MonoidHom(sl2, G, (0, 2)),
+            MonoidHom(G, sl2, (0, 1, 0, 1)),
+            MonoidHom(sl2, G, (0, 2)),  # lands in the kernel
+        )
+        w("nosection.ext", serialize_extension(nosection, "sl2.mon", "G.mon", "sl2.mon", "ns"))
+        w("nonhom.map", serialize_hom(MonoidHom(sl2, sl3, (1, 1)), "sl2.mon", "sl3.mon", "n"))
+        w("id2.map", serialize_hom(MonoidHom(sl2, sl2, (0, 1)), "sl2.mon", "sl2.mon", "i"))
+        return files
+
+    def test_compare_wacts(self, d, capsys):
+        out = "a<=b: yes\nb<=a: yes\nequivalent: yes\n"
+        assert invoke(capsys, "compare", str(d / "ok.wact"), str(d / "ok.wact")) == (0, out)
+
+    def test_compare_inadmissible_wact(self, d, capsys):
+        path = str(d / "noadm.wact")
+        out = "admissible: no (%s)\n" % path
+        assert invoke(capsys, "compare", path, str(d / "ok.wact")) == (1, out)
+
+    def test_compare_incompatible_wact(self, d, capsys):
+        path = str(d / "nocompat.wact")
+        out = "compatible: no (%s)\n" % path
+        assert invoke(capsys, "compare", str(d / "ok.wact"), path) == (1, out)
+
+    def test_compare_invalid_extension(self, d, capsys):
+        path = str(d / "nosection.ext")
+        out = "extension: invalid (%s)\n" % path
+        assert invoke(capsys, "compare", path, str(d / "ok.wact")) == (1, out)
+
+    def test_compare_not_weakly_schreier(self, d, capsys):
+        path = str(d / "diag.ext")
+        out = "weakly-schreier: no (%s)\n" % path
+        assert invoke(capsys, "compare", str(d / "ok.wact"), path) == (1, out)
+
+    def test_glue_non_hom(self, d, capsys):
+        out = "frames: yes\nmeet-hom: no\nviolation hom-identity: 0\n"
+        assert invoke(capsys, "glue", str(d / "nonhom.map")) == (1, out)
+
+    def test_extract_invalid_extension(self, d, capsys):
+        out = "extension: invalid\nviolation section: 1\n"
+        assert invoke(capsys, "extract", str(d / "nosection.ext")) == (1, out)
+
+    def test_join_not_parallel(self, d, capsys):
+        out = "error: join requires parallel maps\n"
+        assert invoke(capsys, "join", str(d / "f.map"), str(d / "id2.map")) == (2, out)
+
+    def test_join_non_hom(self, d, capsys):
+        out = "hom f: no\nviolation hom-identity: 0\n"
+        assert invoke(capsys, "join", str(d / "nonhom.map"), str(d / "g.map")) == (1, out)
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("check", "broken.mon"), "monoid: invalid\nviolation identity: 1\n"),
+            (
+                ("check", "c2.mon", "--as-frame"),
+                "monoid: valid\ninverse: yes (group)\nframe: no\nviolation idempotent: 1\n",
+            ),
+            (
+                ("inverse", "rz.mon"),
+                "inverse: no\nviolation unique-inverse: 1 1 2\n"
+                "violation unique-inverse: 2 1 2\nviolation idempotents-commute: 1 2\n",
+            ),
+            (("lambda", "bad.act"), "action: invalid\nviolation act-mul: 1 1 2\n"),
+            (("lambda", "rz.act"), "inverse N: no\nviolation unique-inverse: 1 1 2\n"),
+            (
+                ("enumerate", "sl2.mon", "rz.mon", "--actions"),
+                "inverse H: no\nviolation unique-inverse: 1 1 2\n",
+            ),
+            (("glue", "rzmap.map"), "frame target: no\nviolation commutative: 1 2\n"),
+            (
+                ("join", "rzmap.map", "rzmap.map"),
+                "central-idempotent f: no\nviolation image: 1\n",
+            ),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+    )
+    def test_law_refusals(self, d, capsys, argv, out):
+        args = [str(d / a) if "." in a else a for a in argv]
+        assert invoke(capsys, *args) == (1, out)
 
 
 class TestSubprocess:

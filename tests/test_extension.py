@@ -39,7 +39,7 @@ from wschreier.monoid import (
     direct_product,
     identity_hom,
 )
-from wschreier.waction import DEFAULT_BOUND, build_extension, enumerate_wactions
+from wschreier.waction import DEFAULT_BOUND, build_extension, enumerate_wactions, extract_waction
 
 # the package exports a function named like this module
 extension_mod = importlib.import_module("wschreier.extension")
@@ -185,7 +185,7 @@ class TestRetraction:
 
     def test_invalid_retraction_rejected(self, glued_chain):
         with pytest.raises(FormatError):
-            SchreierRetraction(glued_chain, (1, 0, 0), unique=False)
+            SchreierRetraction(glued_chain, (1, 0, 0))
 
     @pytest.mark.parametrize("bad", [0.0, False, 1.0, True])
     def test_non_int_retraction_value_rejected(self, product_ext, bad):
@@ -193,7 +193,7 @@ class TestRetraction:
         q = list(find_retraction(product_ext).value.q)
         q[q.index(int(bad))] = bad
         with pytest.raises(FormatError, match="retraction value %r out of range" % (bad,)):
-            SchreierRetraction(product_ext, tuple(q), unique=True)
+            SchreierRetraction(product_ext, tuple(q))
 
     def test_trivial_kernel_retraction_is_constant(self, sl2):
         t1 = trivial_monoid()
@@ -242,7 +242,7 @@ class TestCarrierBuilder:
     def build(sl2, carrier, s=((0, 0), (0, 1)), what="test carrier"):
         t = sl2.table
         products = [[(t[n1][n2], t[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
-        return _extension_on_carrier(sl2, sl2, carrier, products, s, what)
+        return _extension_on_carrier(sl2, sl2, carrier, products, s, what)[0]
 
     def test_full_carrier_is_the_direct_product(self, sl2, product_ext):
         ext = self.build(sl2, ((0, 0), (1, 0), (0, 1), (1, 1)))
@@ -271,6 +271,26 @@ class TestCarrierBuilder:
         # s(h) = (0, 0) for every h is a monoid hom but not a section of e
         with pytest.raises(ConsistencyError, match="test carrier fails extension laws"):
             self.build(sl2, ((0, 0), (1, 0), (0, 1), (1, 1)), s=((0, 0), (0, 0)))
+
+    def test_first_projection_is_the_retraction(self, sl2):
+        carrier = ((0, 0), (1, 0), (0, 1), (1, 1))
+        t = sl2.table
+        products = [[(t[n1][n2], t[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
+        ext, r = _extension_on_carrier(sl2, sl2, carrier, products, ((0, 0), (0, 1)), "test")
+        assert r.ext is ext and ext.verified
+        assert r.q == (0, 1, 0, 1)
+        assert r.unique
+
+    def test_first_projection_failure_is_a_consistency_error(self, sl2):
+        # the diagonal section s(1) = (1, 1) passes the extension laws, but
+        # k(0) * s(1) = (1, 1), so the first projection does not factor (0, 1)
+        full = ((0, 0), (1, 0), (0, 1), (1, 1))
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^test carrier first projection is no Schreier retraction: "
+            r"q\(2\) = 0 does not factor g$",
+        ):
+            self.build(sl2, full, s=((0, 0), (1, 1)))
 
 
 def extension_mutants(N, H):
@@ -375,3 +395,76 @@ class TestFactorTable:
         assert extension_morphism(product_ext, glued_chain) is not None
         assert extensions_equivalent(product_ext, product_ext)
         assert calls == []
+
+
+class TestDerivedFlags:
+    """verified and unique are worked out, not passed in: verified marks the
+    instance that verify_split_extension passed, and unique reads the factor
+    table.  Neither takes part in equality, hashing or repr."""
+
+    def test_neither_is_a_field(self):
+        assert [f.name for f in fields(SplitExtension)] == ["N", "G", "H", "k", "e", "s"]
+        assert [f.name for f in fields(SchreierRetraction)] == ["ext", "q"]
+
+    def test_verify_marks_and_returns_the_instance(self, sl2):
+        ext = direct_product_extension(sl2, sl2)
+        assert not ext.verified
+        assert verify_split_extension(ext).value is ext
+        assert ext.verified
+        other = direct_product_extension(sl2, sl2)
+        assert not other.verified
+        assert other == ext and hash(other) == hash(ext) and repr(other) == repr(ext)
+
+    def test_failed_verification_leaves_the_instance_unmarked(self, sl2):
+        G = direct_product(sl2, sl2)
+        k = MonoidHom(sl2, G, (0, 2))
+        e = MonoidHom(G, sl2, (0, 1, 0, 1))
+        ext = SplitExtension(sl2, G, sl2, k, e, MonoidHom(sl2, G, (0, 2)))
+        assert not verify_split_extension(ext).ok
+        assert not ext.verified
+
+    def test_retraction_found_before_verification_extracts(self):
+        ext = direct_product_extension(cyclic_group(2), chain_lattice(2))
+        pair = extract_waction(verify_split_extension(ext).value, find_retraction(ext).value)
+        assert pair.E.fibers == ((0, 1), (0, 1))
+        assert pair.alpha.act == ((0, 1), (0, 1))
+
+    def test_each_extension_is_built_once(self, monkeypatch, alpha_a, sl2):
+        built, cands = [], []
+        post = SplitExtension.__post_init__
+        monkeypatch.setattr(SplitExtension, "__post_init__", lambda x: built.append(x) or post(x))
+        real = extension_mod.retraction_candidates
+        monkeypatch.setattr(
+            extension_mod, "retraction_candidates", lambda x: cands.append(x) or real(x)
+        )
+        lam = lambda_product(alpha_a)
+        assert built == [lam.extension] and cands == []
+        ext = direct_product_extension(sl2, sl2)
+        verify_split_extension(ext)
+        assert built == [lam.extension, ext]
+
+    def test_unique_is_the_candidate_count(self):
+        def count_unique(ext):
+            return all(len(c) == 1 for c in reference_retraction_candidates(ext))
+
+        catalog = catalog_inverse_monoids(3)
+        lams = [
+            lambda_product(a) for N in catalog for H in catalog
+            for a in enumerate_inverse_actions(N, H)
+        ]
+        assert len(lams) == 155
+        for lam in lams:
+            assert lam.retraction.unique == count_unique(lam.extension)
+            assert find_retraction(lam.extension).value.unique == lam.retraction.unique
+        catalog = catalog_monoids(3)
+        built = [
+            build_extension(p) for N in catalog for H in catalog
+            if N.size * H.size <= DEFAULT_BOUND for p in enumerate_wactions(N, H)
+        ]
+        assert len(built) == 757
+        uniques = [find_retraction(ext).value.unique for ext in built]
+        assert uniques == [count_unique(ext) for ext in built]
+        assert 0 < sum(uniques) < len(built)
+        for ext in built[:50]:
+            rs = all_retractions(ext, limit=10**6)
+            assert all(r.unique == (len(rs) == 1) for r in rs)

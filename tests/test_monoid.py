@@ -110,6 +110,13 @@ class TestFiniteMonoid:
         with pytest.raises(FormatError):
             FiniteMonoid(2, 5, ((0, 1), (1, 0)), None)
 
+    @pytest.mark.parametrize("size", [0, 1, 3, 5])
+    def test_size_must_match_the_table(self, size):
+        with pytest.raises(FormatError, match="size %d does not match the 2 rows" % size):
+            FiniteMonoid(size, 0, ((0, 1), (1, 1)))
+        assert FiniteMonoid(2, 0, ((0, 1), (1, 1))).size == 2
+        assert type(FiniteMonoid(2.0, 0, ((0, 1), (1, 1))).size) is int
+
 
 class TestInverseStructure:
     def test_group_inverse(self):
