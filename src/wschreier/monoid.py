@@ -599,6 +599,26 @@ def _hom_search(A: FiniteMonoid, mul, choices, injective=False, plan=None):
     return search(0)
 
 
+def _cell_search(rows, cells, values, check):
+    """Yield, depth first, every filling of rows (a list of lists) in which
+    cell k, a tuple of positions (r, c), takes a value from values[k] and
+    passes check(k, v): a test of law instances whose reads are all fixed
+    or in cells 0..k, a failure pruning every extension.  With ascending
+    values, fillings come lexicographically in the order of the cells."""
+
+    def search(k):
+        if k == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        for v in values[k]:
+            for r, c in cells[k]:
+                rows[r][c] = v
+            if check(k, v):
+                yield from search(k + 1)
+
+    return search(0)
+
+
 def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
     """Backtracking isomorphism test over generator images.
 

@@ -14,15 +14,15 @@ classes is well defined and leaves the assembly and verification of the
 extension to the builder shared with lambda_product and frames.artin_glueing
 (extension._extension_on_carrier); waction_leq is the order matching the existence
 of extension morphisms; enumerate_wactions lists every pair for a given
-(N, H), one canonical action per equivalence class, found by searching
-only tables whose cells are the least members of their fiber classes.
+(N, H), one canonical action per equivalence class.  The relations and the
+actions come from the cell search of monoid._cell_search: one cell of a
+fiber or of the table at a time, each law instance checked once its reads
+are known, the actions drawn only from the least members of fiber classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import merge
-from itertools import product
 
 from .monoid import (
     BoundExceeded,
@@ -32,6 +32,7 @@ from .monoid import (
     Verdict,
     Violation,
     _bad_cell,
+    _cell_search,
     _normalize_classes,
 )
 from .extension import SchreierRetraction, SplitExtension, _extension_on_carrier
@@ -327,23 +328,6 @@ def waction_leq(p1: WActPair, p2: WActPair) -> bool:
     return True
 
 
-def _set_partitions(n: int):
-    """Partitions of 0..n-1 as restricted-growth strings, lexicographically.
-    n is the size of a monoid, so at least 1."""
-
-    def rec(prefix, maxc):
-        i = len(prefix)
-        if i == n:
-            yield tuple(prefix)
-            return
-        for c in range(maxc + 2):
-            prefix.append(c)
-            yield from rec(prefix, max(maxc, c))
-            prefix.pop()
-
-    yield from rec([0], 0)
-
-
 def _bell(n: int) -> int:
     row = [1]
     for _ in range(n):
@@ -355,76 +339,94 @@ def _bell(n: int) -> int:
 
 
 def admissible_relations(N: FiniteMonoid, H: FiniteMonoid):
-    """All admissible relations, lexicographic in the non-identity fibers."""
-    others = [h for h in H.elements if h != H.identity]
-    discrete = tuple(range(N.size))
-    for combo in product(list(_set_partitions(N.size)), repeat=len(others)):
-        fibers = [discrete] * H.size
-        for h, f in zip(others, combo):
-            fibers[h] = f
-        E = AdmissibleRelation(N, H, tuple(fibers))
-        if check_admissible(E).ok:
-            yield E
+    """All admissible relations, lexicographic in the non-identity fibers:
+    a cell search over the fibers' cells (h, n), numbered h * |N| + n.  The
+    identity fiber is forced discrete, and the other cells try
+    restricted-growth class ids, so each partition comes once.  Each
+    instance of left-translation stability and of refinement is checked at
+    the cell of its last read, so no second check_admissible runs."""
+    size, one, tn, th = N.size, H.identity, N.table, H.table
+    cells = [((h, n),) for h in H.elements for n in N.elements]
+    laws = [set() for _ in cells]  # n1 ~ n2 in fiber h implies m1 ~ m2 in fiber g
+    pairs = [(h, n1, n2) for h in H.elements if h != one for n1 in N.elements
+             for n2 in range(n1 + 1, size)]
+    for h, n1, n2 in pairs:
+        implied = [(h, tn[x][n1], tn[x][n2]) for x in N.elements]
+        for g, m1, m2 in implied + [(th[h][y], n1, n2) for y in H.elements]:
+            if m1 != m2 and (g, m1, m2) != (h, n1, n2):
+                laws[max(h * size + n2, g * size + max(m1, m2))].add((h, n1, n2, g, m1, m2))
+    fibers = [list(N.elements) for _ in H.elements]
+    values = [(n,) if h == one else range(n + 1) for h in H.elements for n in N.elements]
+
+    def check(k, v):
+        h, n = cells[k][0]  # a class id is at most one past those before it
+        return v <= max(fibers[h][:n], default=-1) + 1 and all(
+            fibers[h1][n1] != fibers[h1][n2] or fibers[g][m1] == fibers[g][m2]
+            for h1, n1, n2, g, m1, m2 in laws[k])
+
+    return (AdmissibleRelation(N, H, f) for f in _cell_search(fibers, cells, values, check))
 
 
-def _table(N: FiniteMonoid, H: FiniteMonoid, flat: tuple) -> ActionTable:
-    """The action table whose rows are consecutive |N|-slices of flat."""
-    size = N.size
-    return ActionTable(N, H, tuple(flat[i : i + size] for i in range(0, len(flat), size)))
+def _action_tables(E: AdmissibleRelation, minimal: bool):
+    """The compatible tables over an admissible E, lexicographically: all of
+    them, or with minimal, those made of fiber-class minima (see
+    enumerate_wactions).  A cell search over the cells (h, n) in row order:
+    the identity row is forced and the cell at 1 in N tries 1's class (laws
+    5 and 6 of check_compatible_action).  Laws 1-3 read row h only and are
+    checked at the cell of their last read, law 4 once its three rows are
+    complete.  Every table found is checked again; a failure raises
+    ConsistencyError."""
+    N, H, fibers = E.N, E.H, E.fibers
+    size, one_n, one_h = N.size, N.identity, H.identity
+    tn, th = N.table, H.table
+    cells = [((h, n),) for h in H.elements for n in N.elements]
+    tried = [[block[:1] if minimal else block for block in E.blocks(h)] for h in H.elements]
+    anywhere = [sorted(n for block in classes for n in block) for classes in tried]
+    related = [[(a, b) for a in N.elements for b in range(a + 1, size) if f[a] == f[b]]
+               for f in fibers]
+    right = [[(h2, a) for h2 in H.elements for a in range(n) if fibers[h2][a] == fibers[h2][n]]
+             for n in N.elements]
+    mul = [[] for _ in N.elements]
+    for a in N.elements:
+        for b in N.elements:
+            mul[max(a, b, tn[a][b])].append((a, b, tn[a][b]))
+    rows = [[(h1, h2, g) for h1 in H.elements for h2 in H.elements
+             if max(h1, h2, g := th[h1][h2]) == h and one_h not in (h1, h2)] for h in H.elements]
+    act = [list(N.elements) for _ in H.elements]
+    values = [(n,) if h == one_h else tried[h][fibers[h][one_n]] if n == one_n else anywhere[h]
+              for h in H.elements for n in N.elements]
 
+    def check(k, v):
+        h, n = cells[k][0]
+        f, row = fibers[h], act[h]
+        for a, b in related[h]:  # law 1
+            if f[tn[a][v]] != f[tn[b][v]]:
+                return False
+        for h2, a in right[n]:  # law 2
+            fg = fibers[th[h][h2]]
+            if fg[row[a]] != fg[v]:
+                return False
+        for a, b, ab in mul[n]:  # law 3
+            if f[row[ab]] != f[tn[row[a]][row[b]]]:
+                return False
+        return n < size - 1 or all(  # law 4
+            fibers[g][act[g][m]] == fibers[g][act[h1][act[h2][m]]]
+            for h1, h2, g in rows[h] for m in N.elements)
 
-def _class_minimal_actions(E: AdmissibleRelation):
-    """The compatible tables over an admissible E whose every cell is the
-    least member of its fiber class, in lexicographic table order: one per
-    class (see enumerate_wactions)."""
-    N, H = E.N, E.H
-    one_n, one_h = N.identity, H.identity
-    choices = []
-    for h in H.elements:
-        f = E.fibers[h]
-        least = tuple(block[0] for block in E.blocks(h))
-        for n in N.elements:
-            if h == one_h:
-                choices.append((n,))
-            elif n == one_n:
-                choices.append((least[f[one_n]],))
-            else:
-                choices.append(least)
-    for flat in product(*choices):
-        a = _table(N, H, flat)
-        if check_compatible_action(E, a).ok:
-            yield a
+    for table in _cell_search(act, cells, values, check):
+        a = ActionTable(N, H, table)
+        verdict = check_compatible_action(E, a)
+        if not verdict.ok:
+            raise ConsistencyError("table fails compatibility: %s" % (verdict.violations[0],))
+        yield a
 
 
 def compatible_actions(E: AdmissibleRelation):
     """All compatible action tables over an admissible E, in lexicographic
-    table order; PreconditionError when E is not admissible.
-
-    Compatibility is a class invariant (proof sketch in enumerate_wactions):
-    alpha' is compatible whenever alpha is and alpha'(h,n) ~ alpha(h,n) in
-    fiber h for all h and n.  So one search finds the class minima, each
-    class is expanded cell by cell over its members, and the expansions are
-    merged into one sorted stream.  Every table is checked again before it
-    is yielded; a failure raises ConsistencyError.
-    """
+    table order, each checked again (see _action_tables); PreconditionError
+    when E is not admissible."""
     check_admissible(E).expect("check_admissible")
-    N, H = E.N, E.H
-    blocks = tuple(E.blocks(h) for h in H.elements)
-    fibers = E.fibers
-
-    def expansion(rep):
-        return product(
-            *(blocks[h][fibers[h][v]] for h in H.elements for v in rep.act[h])
-        )
-
-    for flat in merge(*(expansion(rep) for rep in _class_minimal_actions(E))):
-        a = _table(N, H, flat)
-        verdict = check_compatible_action(E, a)
-        if not verdict.ok:
-            raise ConsistencyError(
-                "class member fails compatibility: %s" % (verdict.violations[0],)
-            )
-        yield a
+    yield from _action_tables(E, False)
 
 
 def enumerate_wactions(N: FiniteMonoid, H: FiniteMonoid, bound: int = DEFAULT_BOUND) -> tuple:
@@ -440,12 +442,11 @@ def enumerate_wactions(N: FiniteMonoid, H: FiniteMonoid, bound: int = DEFAULT_BO
     and 6 from the discrete identity fiber.
 
     So the lexicographically least table of a class is its cellwise class
-    minimum.  The search visits only tables made of class minima (identity
-    row forced, the column at 1 in N the least member of 1's class), checks
-    each one with check_compatible_action, and keeps every table that
-    passes: exactly one per class, with no deduplication.  Refuses with
-    BoundExceeded when |N| * |H| > bound, reporting the raw candidate-count
-    estimate.
+    minimum.  The cell search of _action_tables tries only class minima
+    (identity row forced, the column at 1 in N the least member of 1's
+    class) and finds the compatible tables made of them: exactly one per
+    class, with no deduplication.  Refuses with BoundExceeded when
+    |N| * |H| > bound, reporting the raw candidate-count estimate.
     """
     if N.size * H.size > bound:
         estimate = _bell(N.size) ** (H.size - 1) * N.size ** ((H.size - 1) * N.size)
@@ -455,5 +456,5 @@ def enumerate_wactions(N: FiniteMonoid, H: FiniteMonoid, bound: int = DEFAULT_BO
             estimate,
         )
     return tuple(
-        WActPair(E, a) for E in admissible_relations(N, H) for a in _class_minimal_actions(E)
+        WActPair(E, a) for E in admissible_relations(N, H) for a in _action_tables(E, True)
     )

@@ -4,8 +4,9 @@ element loops they replaced, above the scale of the test suite.
     PYTHONPATH=src:tests python3 tests/compare_laws.py --seed 29 --mutants 2
 
 The inputs are the 228 isomorphism classes of monoids of size 5, built from
-all_monoid_tables(5) and canonical_form (about a minute), and the G tables
-of all 4789 lambda products over catalog_inverse_monoids(4).  Three sections:
+all_monoid_tables(5) and canonical_form (about 1.5 s), and the G tables
+of all 4789 lambda products over catalog_inverse_monoids(4).  The whole run
+takes about 11 s.  Three sections:
 
     monoid     check_monoid of every table, with its identity and without
     mutants    check_monoid of --mutants seeded one-cell mutations of each

@@ -30,10 +30,11 @@ from wschreier.lambda_product import InverseAction
 from wschreier.waction import (
     DEFAULT_BOUND,
     ActionTable,
+    AdmissibleRelation,
     WActPair,
     _bell,
     action_signature,
-    admissible_relations,
+    check_admissible,
     check_compatible_action,
 )
 
@@ -473,6 +474,117 @@ def reference_congruence_closure(M, pairs) -> Congruence:
     return Congruence(M, tuple([find(a) for a in range(n)]))
 
 
+# ---------------------------------------------------------------------------
+# generate-and-test loops kept as references for the cell search
+
+
+# Not check_monoid, which lists every violation: about 6x slower on these candidates.
+def _associative(table, n) -> bool:
+    for a in range(n):
+        ra = table[a]
+        for b in range(n):
+            rab = table[ra[b]]
+            rb = table[b]
+            for c in range(n):
+                if rab[c] != ra[rb[c]]:
+                    return False
+    return True
+
+
+def reference_monoid_tables(n: int):
+    """The row loop that the cell search replaced in all_monoid_tables.
+
+    Rows are left-multiplication maps; row 0 is the identity map and column 0
+    is fixed by the identity law.  Associativity says the row of a*b is the
+    composite of the rows of a and b, which prunes the search as rows are
+    chosen.
+    """
+    if n == 1:
+        yield ((0,),)
+        return
+    idrow = tuple(range(n))
+    rows = [idrow] + [None] * (n - 1)
+
+    def compatible(a, b):
+        # both rows known: row(a*b) must equal row_a o row_b where known
+        ab = rows[a][b]
+        composed = tuple(rows[a][rows[b][x]] for x in range(n))
+        if rows[ab] is None:
+            return composed[0] == ab  # column 0 constraint for a future row
+        return rows[ab] == composed
+
+    def fill(a):
+        if a == n:
+            table = tuple(rows)
+            if _associative(table, n):
+                yield table
+            return
+        for cand in itertools.product(range(n), repeat=n - 1):
+            row = (a,) + cand  # a*identity = a
+            rows[a] = row
+            ok = True
+            for b in range(1, a + 1):
+                if not compatible(a, b) or (b != a and not compatible(b, a)):
+                    ok = False
+                    break
+            if ok:
+                yield from fill(a + 1)
+        rows[a] = None
+
+    yield from fill(1)
+
+
+def reference_lattice_tables(n: int):
+    """The table loop that the cell search replaced in
+    commutative_idempotent_monoids: every symmetric table with the identity
+    row and column and the diagonal fixed, kept when associative."""
+    cells = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    for values in itertools.product(range(n), repeat=len(cells)):
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            table[0][a] = a
+            table[a][0] = a
+            table[a][a] = a
+        for (i, j), v in zip(cells, values):
+            table[i][j] = v
+            table[j][i] = v
+        table = tuple(map(tuple, table))
+        if _associative(table, n):
+            yield table
+
+
+def _set_partitions(n: int):
+    """Partitions of 0..n-1 as restricted-growth strings, lexicographically.
+    n is the size of a monoid, so at least 1."""
+
+    def rec(prefix, maxc):
+        i = len(prefix)
+        if i == n:
+            yield tuple(prefix)
+            return
+        for c in range(maxc + 2):
+            prefix.append(c)
+            yield from rec(prefix, max(maxc, c))
+            prefix.pop()
+
+    yield from rec([0], 0)
+
+
+def reference_admissible_relations(N: FiniteMonoid, H: FiniteMonoid):
+    """The loop that the cell search replaced in admissible_relations: every
+    choice of a partition per non-identity fiber, checked in full, in
+    lexicographic order of the non-identity fibers."""
+    others = [h for h in H.elements if h != H.identity]
+    discrete = tuple(range(N.size))
+    for combo in itertools.product(list(_set_partitions(N.size)), repeat=len(others)):
+        fibers = [discrete] * H.size
+        for h, f in zip(others, combo):
+            fibers[h] = f
+        E = AdmissibleRelation(N, H, tuple(fibers))
+        if check_admissible(E).ok:
+            yield E
+
+
 def reference_compatible_actions(E):
     """The generate-and-test loop that the class-minimum search replaced:
     every table with the identity row forced and the column at 1 in N
@@ -511,7 +623,7 @@ def reference_wactions(N, H, bound: int = DEFAULT_BOUND):
             estimate,
         )
     out = []
-    for E in admissible_relations(N, H):
+    for E in reference_admissible_relations(N, H):
         seen = set()
         for a in reference_compatible_actions(E):
             sig = action_signature(E, a)

@@ -3,9 +3,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import reference_all_homs, relabelled
+from conftest import (
+    reference_all_homs,
+    reference_lattice_tables,
+    reference_monoid_tables,
+    relabelled,
+)
 from wschreier.catalog import (
+    _associative_tables,
     all_homs,
+    all_monoid_tables,
     catalog_inverse_monoids,
     catalog_monoids,
     central_idempotent_homs,
@@ -125,6 +132,20 @@ class TestCatalog:
     def test_size_bound_enforced(self):
         with pytest.raises(PreconditionError):
             catalog_monoids(5)
+
+    @pytest.mark.parametrize(
+        "lattice,reference,n",
+        [(False, reference_monoid_tables, n) for n in range(1, 5)]
+        + [(True, reference_lattice_tables, n) for n in range(1, 6)],
+    )
+    def test_tables_match_reference(self, lattice, reference, n):
+        tables = _associative_tables(n, True) if lattice else all_monoid_tables(n)
+        assert list(tables) == list(reference(n))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_tables_below_size_one(self, n):
+        assert list(all_monoid_tables(n)) == []
+        assert catalog_monoids(n) == () == commutative_idempotent_monoids(n)
 
 
 class TestHomSearch:

@@ -10,6 +10,7 @@ from conftest import (
     naive_compatible,
     naive_wschreier_pairs,
     normalize_classes,
+    reference_admissible_relations,
     reference_compatible_actions,
     reference_waction_leq,
     reference_wactions,
@@ -267,6 +268,7 @@ class TestEnumeration:
         for N, H in IN_BOUND:
             got = enum_cache.wactions(N, H)
             assert got == reference_wactions(N, H)
+            assert tuple(admissible_relations(N, H)) == tuple(reference_admissible_relations(N, H))
             total += len(got)
         assert (len(IN_BOUND), total) == (310, 1993)
 
@@ -275,6 +277,8 @@ class TestEnumeration:
         for N, H in IN_BOUND:
             N2, H2 = relabelled(N, rng), relabelled(H, rng)
             assert enumerate_wactions(N2, H2) == reference_wactions(N2, H2)
+            relations = tuple(admissible_relations(N2, H2))
+            assert relations == tuple(reference_admissible_relations(N2, H2))
 
     def test_bound_matches_reference(self, sl3):
         for N, H, bound in ((diamond_lattice(), sl3, DEFAULT_BOUND), (sl3, sl3, 8)):
