@@ -104,7 +104,8 @@ class Verdict:
 
 
 class _Rows(tuple):
-    """Table rows that _as_table has already validated."""
+    """Table rows that _as_table has already validated, passed by
+    check_monoid together with an identity it has validated too."""
 
 
 def _bad_cell(cells, bound: int):
@@ -151,12 +152,13 @@ class FiniteMonoid:
     labels: tuple | None = None
 
     def __post_init__(self):
-        rows = tuple(self.table) if type(self.table) is _Rows else _as_table(self.table)
+        validated = type(self.table) is _Rows
+        rows = tuple(self.table) if validated else _as_table(self.table)
         if self.size != len(rows):
             raise FormatError("size %r does not match the %d rows" % (self.size, len(rows)))
         object.__setattr__(self, "table", rows)
         object.__setattr__(self, "size", len(rows))  # an equal 2.0 or True becomes an int
-        if not 0 <= self.identity < self.size:
+        if not validated and _bad_cell((self.identity,), self.size) is not None:
             raise FormatError("identity index %r out of range" % (self.identity,))
         if self.labels is not None:
             labels = tuple([str(x) for x in self.labels])
@@ -203,7 +205,7 @@ def check_monoid(table, identity: int | None = None, labels=None) -> Verdict:
     """
     rows = _as_table(table)
     n = len(rows)
-    if identity is not None and not 0 <= identity < n:
+    if identity is not None and _bad_cell((identity,), n) is not None:
         raise FormatError("identity index %r out of range" % (identity,))
     violations = []
     e = identity
@@ -387,10 +389,15 @@ def congruence_closure(M: FiniteMonoid, pairs) -> Congruence:
     """
     n = M.size
     t = M.table
-    work = [(int(a), int(b)) for a, b in pairs]
-    for a, b in work:
-        if not 0 <= a < n or not 0 <= b < n:
-            raise FormatError("congruence generator (%d,%d) out of range" % (a, b))
+    work = []
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise FormatError("congruence generator %r is not a pair" % (pair,)) from None
+        if _bad_cell((a, b), n) is not None:
+            raise FormatError("congruence generator (%r,%r) out of range" % (a, b))
+        work.append((a, b))
     cls = list(range(n))
     members = [[a] for a in range(n)]
     while work:
@@ -445,10 +452,10 @@ def quotient(M: FiniteMonoid, c: Congruence):
 
 def submonoid(M: FiniteMonoid, elements):
     """Restrict M to a subset (which must contain 1 and be product-closed)."""
-    subset = sorted(set(int(a) for a in elements))
-    for a in subset:
-        if not 0 <= a < M.size:
-            raise FormatError("subset element %d out of range" % a)
+    elements = tuple(elements)
+    if (i := _bad_cell(elements, M.size)) is not None:
+        raise FormatError("subset element %r out of range" % (elements[i],))
+    subset = sorted(set(elements))
     if M.identity not in subset:
         raise FormatError("subset does not contain the identity")
     index = {a: i for i, a in enumerate(subset)}
@@ -475,7 +482,11 @@ def image(f: MonoidHom) -> tuple:
 
 def is_cokernel(k: MonoidHom, e: MonoidHom) -> bool:
     """e is the cokernel of k: e is surjective and the congruence it induces
-    equals the congruence generated by identifying the image of k with 1."""
+    equals the congruence generated by identifying the image of k with 1.
+
+    verify_split_extension calls it only for an extension whose factor
+    table k(n) * s(h) misses some element of G, one that is not weakly
+    Schreier; on the others the table decides the law."""
     if k.target != e.source:
         raise FormatError("k and e are not composable")
     G = e.source

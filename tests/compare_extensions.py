@@ -6,7 +6,7 @@ derivations they replaced, above the scale of the test suite.
 
 The inputs are the 4789 lambda products over catalog_inverse_monoids(4),
 and the 1993 relation/action pairs of the 310 in-bound (N, H) pairs of
-catalog_monoids(4) with the extensions built from them.  Five sections:
+catalog_monoids(4) with the extensions built from them.  Six sections:
 
     candidates  retraction_candidates of every lambda product and every
                 built extension
@@ -23,12 +23,21 @@ catalog_monoids(4) with the extensions built from them.  Five sections:
                 both ways
     leq         waction_leq between every ordered pair of the same (N, H),
                 the 31859 ordered pairs of the 310 posets
+    verdicts    verify_split_extension of the 6782 lambda products and
+                built extensions, and of every one-entry mutant of e or s of
+                direct_product_extension(N, H) over the 310 in-bound pairs,
+                against a verdict whose cokernel law is always decided by a
+                congruence closure; with each verdict, whether
+                congruence_closure ran, against whether the extension reached
+                the cokernel law without being weakly Schreier
 
 The references are reference_retraction_candidates,
-reference_extension_morphism and reference_waction_leq from
-tests/conftest.py; a raised exception is compared by its type and message.
-The builder's carrier and retraction for a built extension are recorded
-by wrapping the waction module's reference to the builder for the run.
+reference_extension_morphism, reference_waction_leq and
+reference_verify_split_extension from tests/conftest.py; a raised exception
+is compared by its type and message.  The builder's carrier and retraction
+for a built extension are recorded by wrapping the waction module's
+reference to the builder for the run, and the closures run by counting
+calls through the monoid module's reference to congruence_closure.
 Prints each difference and one line per section with the time each side
 took; exits 1 on any difference.
 """
@@ -43,13 +52,15 @@ from functools import partial
 
 from compare_homs import _Section
 from conftest import (
+    extension_mutants,
     outcome,
     reference_extension_morphism,
     reference_retraction_candidates,
+    reference_verify_split_extension,
     reference_waction_leq,
 )
 from wschreier.catalog import catalog_inverse_monoids, catalog_monoids
-from wschreier.extension import extension_morphism, retraction_candidates
+from wschreier.extension import extension_morphism, retraction_candidates, verify_split_extension
 from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.waction import DEFAULT_BOUND, build_extension, enumerate_wactions, waction_leq
 
@@ -72,6 +83,18 @@ def first_projection(carrier, ext, r):
     return q if all(n in c for n, c in zip(q, cands)) else "no retraction"
 
 
+def verdict_and_closure(closures, ext):
+    before = len(closures)
+    verdict = verify_split_extension(ext)
+    return verdict, len(closures) > before
+
+
+def reference_verdict_and_closure(ext):
+    verdict = reference_verify_split_extension(ext)
+    reached = verdict.ok or verdict.violations[0].law == "cokernel"
+    return verdict, reached and not all(reference_retraction_candidates(ext))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.parse_args(argv)
@@ -85,12 +108,8 @@ def main(argv=None) -> int:
     lambdas = [[lam.extension for lam in group] for group in products]
     made = [(lam.carrier, lam.extension, lam.retraction) for group in products for lam in group]
     catalog = catalog_monoids(4)
-    posets = [
-        enumerate_wactions(N, H)
-        for N in catalog
-        for H in catalog
-        if N.size * H.size <= DEFAULT_BOUND
-    ]
+    in_bound = [(N, H) for N in catalog for H in catalog if N.size * H.size <= DEFAULT_BOUND]
+    posets = [enumerate_wactions(N, H) for N, H in in_bound]
     waction = importlib.import_module("wschreier.waction")
     builder = waction._extension_on_carrier
 
@@ -147,6 +166,28 @@ def main(argv=None) -> int:
         for p1 in poset:
             for p2 in poset:
                 section.compare(new, ref, p1, p2)
+    bad += section.report()
+
+    section = _Section("verdicts", "table")
+    monoid = importlib.import_module("wschreier.monoid")
+    closure, closures = monoid.congruence_closure, []
+
+    def counting(M, pairs):
+        closures.append(M)
+        return closure(M, pairs)
+
+    monoid.congruence_closure = counting
+    try:
+        new = partial(verdict_and_closure, closures)
+        for group in lambdas + built:
+            for ext in group:
+                section.compare(new, reference_verdict_and_closure, ext)
+        for N, H in in_bound:
+            for ext in extension_mutants(N, H):
+                section.compare(new, reference_verdict_and_closure, ext)
+    finally:
+        monoid.congruence_closure = closure
+    print("verdicts: %d closures" % len(closures), flush=True)
     bad += section.report()
     return 1 if bad else 0
 

@@ -8,10 +8,12 @@ results can be compared against an independent implementation.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
+from wschreier.extension import direct_product_extension
 from wschreier.frames import FiniteFrame
 from wschreier.monoid import (
     BoundExceeded,
@@ -797,6 +799,50 @@ def reference_extension_morphism(a, b):
         if f.map[sa[h]] != sb[h]:
             return None
     return f
+
+
+def reference_verify_split_extension(ext) -> Verdict:
+    """verify_split_extension with the cokernel law always decided by a
+    congruence closure, here reference_congruence_closure, as it was before
+    the factor table decided it for weakly Schreier extensions.  The same
+    laws in the same order with the same witnesses; ext is not marked."""
+    for name, f in (("k", ext.k), ("e", ext.e), ("s", ext.s)):
+        verdict = check_hom(f.source, f.target, f.map)
+        if not verdict.ok:
+            bad = verdict.violations[0]
+            return Verdict(None, (Violation("%s-%s" % (name, bad.law), bad.witness),))
+    G, H, k, e = ext.G, ext.H, ext.k.map, ext.e.map
+    for h in H.elements:
+        if e[ext.s.map[h]] != h:
+            return Verdict(None, (Violation("section", (h,)),))
+    for n2 in ext.N.elements:
+        for n1 in range(n2):
+            if k[n1] == k[n2]:
+                return Verdict(None, (Violation("kernel-injective", (n1, n2)),))
+    fiber = {g for g in G.elements if e[g] == H.identity}
+    if set(k) != fiber:
+        return Verdict(None, (Violation("kernel-image", (min(set(k) ^ fiber),)),))
+    generated = reference_congruence_closure(G, [(g, G.identity) for g in k])
+    if len(set(e)) != H.size or normalize_classes(e) != generated.class_id:
+        return Verdict(None, (Violation("cokernel"),))
+    return Verdict(ext)
+
+
+def extension_mutants(N, H):
+    """direct_product_extension(N, H) with one entry of e or of s moved, as
+    unverified extensions: not split, not weakly Schreier, or not homs."""
+    base = direct_product_extension(N, H)
+    G = base.G
+    for g in G.elements:
+        for h in H.elements:
+            if h != base.e.map[g]:
+                e = base.e.map[:g] + (h,) + base.e.map[g + 1 :]
+                yield replace(base, e=MonoidHom(G, H, e))
+    for h in H.elements:
+        for g in G.elements:
+            if g != base.s.map[h]:
+                s = base.s.map[:h] + (g,) + base.s.map[h + 1 :]
+                yield replace(base, s=MonoidHom(H, G, s))
 
 
 def reference_waction_leq(p1, p2) -> bool:

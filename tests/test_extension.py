@@ -1,13 +1,16 @@
 import importlib
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
+import wschreier.monoid as monoid_mod
 from conftest import (
+    extension_mutants,
     naive_weakly_schreier,
     outcome,
     reference_extension_morphism,
     reference_retraction_candidates,
+    reference_verify_split_extension,
 )
 from wschreier.catalog import (
     catalog_inverse_monoids,
@@ -293,23 +296,6 @@ class TestCarrierBuilder:
             self.build(sl2, full, s=((0, 0), (1, 1)))
 
 
-def extension_mutants(N, H):
-    """direct_product_extension(N, H) with one entry of e or of s moved, as
-    unverified extensions: not split, not weakly Schreier, or not homs."""
-    base = direct_product_extension(N, H)
-    G = base.G
-    for g in G.elements:
-        for h in H.elements:
-            if h != base.e.map[g]:
-                e = base.e.map[:g] + (h,) + base.e.map[g + 1 :]
-                yield replace(base, e=MonoidHom(G, H, e))
-    for h in H.elements:
-        for g in G.elements:
-            if g != base.s.map[h]:
-                s = base.s.map[:h] + (g,) + base.s.map[h + 1 :]
-                yield replace(base, s=MonoidHom(H, G, s))
-
-
 class TestFactorTable:
     """ks[h][n] = k(n) * s(h), derived once by SplitExtension and read by
     retraction_candidates and extension_morphism; compared with the scans
@@ -468,3 +454,70 @@ class TestDerivedFlags:
         for ext in built[:50]:
             rs = all_retractions(ext, limit=10**6)
             assert all(r.unique == (len(rs) == 1) for r in rs)
+
+
+class TestCokernelRoute:
+    """verify_split_extension decides the cokernel law from the factor table
+    when its entries cover G, and runs congruence_closure only when they do
+    not; its verdict is the one a closure gives every time
+    (conftest.reference_verify_split_extension)."""
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        calls = []
+        real = monoid_mod.congruence_closure
+        monkeypatch.setattr(
+            monoid_mod, "congruence_closure", lambda M, pairs: calls.append(M) or real(M, pairs)
+        )
+        return calls
+
+    def test_builders_run_no_closure(self, closures, alpha_a, sl2, sl3):
+        lam = lambda_product(alpha_a)
+        _, glued = artin_glueing(identity_hom(sl2))
+        built = [build_extension(p) for p in enumerate_wactions(sl3, sl2)]
+        assert lam.extension.verified and glued.verified and len(built) > 1
+        assert closures == []
+
+    def test_closure_runs_once_off_the_table(self, closures, sl2, sl3, diagonal_section):
+        # test_cokernel_violation's input: the bottom of sl3 is no k(n) * s(h)
+        t1 = trivial_monoid()
+        k = MonoidHom(t1, sl3, (0,))
+        e = MonoidHom(sl3, sl2, (0, 1, 1))
+        ext = SplitExtension(t1, sl3, sl2, k, e, MonoidHom(sl2, sl3, (0, 1)))
+        assert verify_split_extension(ext).violations[0].law == "cokernel"
+        assert closures == [sl3]
+        # the diagonal extension passes, though it is not weakly Schreier
+        assert verify_split_extension(diagonal_section).ok
+        assert closures == [sl3, diagonal_section.G]
+
+    def check_verdicts(self, exts):
+        for ext in exts:
+            assert verify_split_extension(ext) == reference_verify_split_extension(ext)
+
+    def test_lambda_products_match_reference(self):
+        catalog = catalog_inverse_monoids(3)
+        exts = [
+            lambda_product(a).extension for N in catalog for H in catalog
+            for a in enumerate_inverse_actions(N, H)
+        ]
+        assert len(exts) == 155
+        self.check_verdicts(exts)
+
+    def test_built_extensions_match_reference(self):
+        catalog = catalog_monoids(3)
+        exts = [
+            build_extension(p) for N in catalog for H in catalog
+            if N.size * H.size <= DEFAULT_BOUND for p in enumerate_wactions(N, H)
+        ]
+        assert len(exts) == 757
+        self.check_verdicts(exts)
+
+    def test_mutants_match_reference(self, sl2, sl3, c2):
+        laws = []
+        for N, H in ((sl2, sl2), (sl3, sl2), (sl2, c2), (c2, sl3)):
+            for m in extension_mutants(N, H):
+                verdict = verify_split_extension(m)
+                assert verdict == reference_verify_split_extension(m)
+                laws.append(verdict.violations[0].law if verdict.violations else "ok")
+        assert len(laws) == 63 and laws.count("ok") == 3
+        assert {"e-hom-mul", "s-hom-identity", "section", "kernel-image"} <= set(laws)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -109,6 +110,17 @@ class TestFiniteMonoid:
     def test_shape_validation(self):
         with pytest.raises(FormatError):
             FiniteMonoid(2, 5, ((0, 1), (1, 0)), None)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, -1, 2])
+    def test_identity_must_be_a_plain_int_in_range(self, bad):
+        # an equal float or bool is no index, as for a cell of the table
+        table = ((0, 0), (0, 1))
+        message = "^identity index %s out of range$" % re.escape(repr(bad))
+        with pytest.raises(FormatError, match=message):
+            FiniteMonoid(2, bad, table)
+        with pytest.raises(FormatError, match=message):
+            check_monoid(table, bad)
+        assert type(FiniteMonoid(2, 1, table).identity) is int
 
     @pytest.mark.parametrize("size", [0, 1, 3, 5])
     def test_size_must_match_the_table(self, size):
@@ -242,11 +254,34 @@ class TestCongruence:
                         assert ids[x] == ids[y]
 
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((1.7, 0), "congruence generator (1.7,0) out of range"),
+            (("2", 0), "congruence generator ('2',0) out of range"),
+            ((True, 0), "congruence generator (True,0) out of range"),
+            (("x", 0), "congruence generator ('x',0) out of range"),
+            ((0, 3), "congruence generator (0,3) out of range"),
+            ((0,), "congruence generator (0,) is not a pair"),
+            (7, "congruence generator 7 is not a pair"),
+        ],
+    )
+    def test_closure_generators_are_cells(self, sl3, pair, message):
+        with pytest.raises(FormatError, match="^%s$" % re.escape(message)):
+            congruence_closure(sl3, [(0, 0), pair])
+
+
 class TestSubKernelCokernel:
     def test_submonoid_of_chain(self, sl3):
         S, emb = submonoid(sl3, [0, 2])
         assert S.size == 2
         assert check_hom(S, sl3, emb.map).ok
+
+    @pytest.mark.parametrize("bad", [2.0, True, "2", -1, 3])
+    def test_submonoid_elements_are_cells(self, sl3, bad):
+        message = "^subset element %s out of range$" % re.escape(repr(bad))
+        with pytest.raises(FormatError, match=message):
+            submonoid(sl3, [0, 2, bad])
 
     def test_submonoid_requires_closure(self):
         with pytest.raises(FormatError):

@@ -17,15 +17,24 @@ brute force from the statement of a known result:
   H -> End(N), and the retraction of a built extension is unique exactly
   when its relation is discrete;
 * when H is a group each s(h) is invertible, so every weakly Schreier
-  extension is Schreier and every fiber is discrete.
+  extension is Schreier and every fiber is discrete;
+* when H is a group h h^-1 = 1, so the carrier of a lambda product is all
+  of N x H, and when N is a group too the lambda product is the semidirect
+  product (n, h)(n', h') = (n (h.n'), h h').
 
 The frozen counts were read from two runs that agreed.
 """
 
 import itertools
 
-from wschreier.catalog import all_monoid_tables, catalog_monoids, chain_lattice
+from wschreier.catalog import (
+    all_monoid_tables,
+    catalog_inverse_monoids,
+    catalog_monoids,
+    chain_lattice,
+)
 from wschreier.extension import find_retraction
+from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.waction import DEFAULT_BOUND, admissible_relations, build_extension
 
 IN_BOUND = [
@@ -122,3 +131,25 @@ def test_unique_retraction_exactly_when_discrete(enum_cache):
         for p in enum_cache.wactions(N, H):
             r = find_retraction(build_extension(p)).value
             assert r.unique == discrete(p)
+
+
+def test_lambda_products_over_a_group():
+    # the carrier lists pairs h-major, so (n, h) is element h |N| + n
+    inverse = catalog_inverse_monoids(4)
+    groups = [H for H in inverse if is_group(H.base)]
+    full = semidirect = 0
+    for N in inverse:
+        for H in groups:
+            tn, th, elements = N.base.table, H.base.table, N.base.elements
+            pairs = [(n, h) for h in H.base.elements for n in elements]
+            for a in enumerate_inverse_actions(N, H):
+                lam = lambda_product(a)
+                assert list(lam.carrier) == pairs
+                full += 1
+                if is_group(N.base):
+                    assert lam.monoid.table == tuple(
+                        tuple(th[h][h2] * len(elements) + tn[n][a.act[h][n2]] for n2, h2 in pairs)
+                        for n, h in pairs
+                    )
+                    semidirect += 1
+    assert (full, semidirect) == (132, 52)
