@@ -176,6 +176,8 @@ class FiniteMonoid:
         return str(a)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, FiniteMonoid):
             return NotImplemented
         return (
@@ -348,7 +350,15 @@ def compose(f: MonoidHom, g: MonoidHom) -> MonoidHom:
 
 
 def _normalize_classes(ids) -> tuple:
-    # renumber class ids by order of first occurrence
+    """The class ids of a sequence renumbered by first occurrence.  Each id
+    must be a plain int, as a cell is for _bad_cell; no range is imposed,
+    since extract_waction passes rows of ext.ks, which are indices into G.
+    The type-set test decides the usual case; the loop names the first id
+    that is not a plain int, with a FormatError."""
+    if not {int}.issuperset(map(type, ids)):
+        for c in ids:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise FormatError("class id %r is not a plain int" % (c,))
     seen = {}
     out = []
     for c in ids:
@@ -421,6 +431,7 @@ def is_congruence(M: FiniteMonoid, class_id) -> bool:
     ids = tuple(class_id)
     if len(ids) != M.size:
         return False
+    ids = _normalize_classes(ids)  # FormatError on an id that is not a plain int
     t = M.table
     for a in M.elements:
         for b in M.elements:

@@ -12,12 +12,17 @@ build_extension and extract_waction convert between pairs (E, alpha) and
 weakly Schreier extensions; build_extension checks that the product of
 classes is well defined and leaves the assembly and verification of the
 extension to the builder shared with lambda_product and frames.artin_glueing
-(extension._extension_on_carrier); waction_leq is the order matching the existence
-of extension morphisms; enumerate_wactions lists every pair for a given
-(N, H), one canonical action per equivalence class.  The relations and the
-actions come from the cell search of monoid._cell_search: one cell of a
-fiber or of the table at a time, each law instance checked once its reads
-are known, the actions drawn only from the least members of fiber classes.
+(extension._extension_on_carrier).  waction_leq is the order matching the
+existence of extension morphisms.  It reads an order key of ints that each
+pair derives on first use and keeps (_order_key): the fibers flattened, with
+the class ids of each fiber numbered past those of the fibers before it, and
+the cell of each action value.  Refinement of every fiber and agreement of
+the actions are then one flat pass each.  enumerate_wactions lists every
+pair for a given (N, H), one canonical action per equivalence class.  The
+relations and the actions come from the cell search of monoid._cell_search:
+one cell of a fiber or of the table at a time, each law instance checked
+once its reads are known, the actions drawn only from the least members of
+fiber classes.
 """
 
 from __future__ import annotations
@@ -308,24 +313,52 @@ def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:
     return pair
 
 
+def _order_key(p: WActPair) -> tuple:
+    """(F, C, A, S) of p, the ints that waction_leq reads.
+
+    F is the fibers flattened cell by cell, cell (h, n) at h * |N| + n, with
+    the class ids of fiber h offset past those of the fibers before it; C is
+    the number of classes in all; A[h * |N| + n] is the cell h * |N| +
+    alpha(h, n) of the action value; S is F read through A.  Derived on first
+    use and kept on the pair as _order, the way frames keeps _frame; it
+    takes no part in the pair's equality, hashing or repr.
+    """
+    try:
+        return p._order
+    except AttributeError:
+        pass
+    size = p.N.size
+    F, A, C = [], [], 0
+    for h, (f, row) in enumerate(zip(p.E.fibers, p.alpha.act)):
+        F += [C + c for c in f]
+        C += max(f) + 1  # class ids are normalized by first occurrence
+        A += [h * size + v for v in row]
+    # tuples from lists, as in extension._extension_on_carrier
+    key = (tuple(F), C, tuple(A), tuple([F[i] for i in A]))
+    object.__setattr__(p, "_order", key)
+    return key
+
+
 def waction_leq(p1: WActPair, p2: WActPair) -> bool:
     """(E1, [a1]) <= (E2, [a2]): E1's fibers refine E2's and
-    a1(h,n) ~ a2(h,n) in E2's fiber over h for all h, n.  A fiber a refines
-    b when the pairs (a[n], b[n]) are as many as the classes of a."""
+    a1(h,n) ~ a2(h,n) in E2's fiber over h for all h, n.  This is the
+    existence of a morphism between the built extensions.
+
+    Both halves are one flat pass over the keys of _order_key.  A fiber a
+    refines b when the pairs (a[n], b[n]) are as many as the classes of a.
+    The offsets keep the class ids of different fibers apart, so the pairs
+    of all cells are a disjoint union over the fibers; each fiber gives at
+    least as many pairs as it has classes, and the total equals C1 exactly
+    when every fiber refines.  Without the offsets, pairs of two fibers
+    could coincide and hide a fiber that does not.  F2 at cell h * |N| + x
+    is E2's class of x in fiber h plus a constant of h, so F2 read through
+    A1 equals S2 = F2 read through A2 exactly when the actions agree up to
+    E2."""
     if p1.N != p2.N or p1.H != p2.H:
         raise FormatError("pairs do not share the same N and H")
-    f1, f2 = p1.E.fibers, p2.E.fibers
-    for a, b in zip(f1, f2):
-        if len(set(zip(a, b))) != len(set(a)):
-            return False
-    N, H = p1.N, p1.H
-    a1, a2 = p1.alpha.act, p2.alpha.act
-    for h in H.elements:
-        f = f2[h]
-        for n in N.elements:
-            if f[a1[h][n]] != f[a2[h][n]]:
-                return False
-    return True
+    F1, C1, A1, _ = _order_key(p1)
+    F2, _, _, S2 = _order_key(p2)
+    return len(set(zip(F1, F2))) == C1 and tuple([F2[i] for i in A1]) == S2
 
 
 def _bell(n: int) -> int:

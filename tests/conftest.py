@@ -419,7 +419,9 @@ def reference_check_monoid(table, identity=None, labels=None) -> Verdict:
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise FormatError("entry (%d,%d) = %r out of range 0..%d" % (i, j, v, n - 1))
-    if identity is not None and not 0 <= identity < n:
+    if identity is not None and (
+        not isinstance(identity, int) or isinstance(identity, bool) or not 0 <= identity < n
+    ):
         raise FormatError("identity index %r out of range" % (identity,))
     violations = []
     e = identity

@@ -17,7 +17,12 @@ import random
 
 import pytest
 
-from conftest import one_cell_mutant, reference_check_monoid, reference_congruence_closure
+from conftest import (
+    one_cell_mutant,
+    outcome,
+    reference_check_monoid,
+    reference_congruence_closure,
+)
 from wschreier import monoid
 from wschreier.catalog import catalog_inverse_monoids, catalog_monoids
 from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
@@ -109,6 +114,14 @@ class TestCheckMonoid:
         with pytest.raises(FormatError) as direct:
             FiniteMonoid(len(table), 0, table)
         assert str(direct.value) == str(want.value)
+
+    @pytest.mark.parametrize("identity", [1.0, "1", True, -1, 2, None])
+    def test_identity_checks_agree(self, identity):
+        # a given identity is a plain int in range, as a cell is
+        table = ((0, 0), (0, 1))
+        assert outcome(check_monoid, table, identity) == outcome(
+            reference_check_monoid, table, identity
+        )
 
     def test_int_subclass_entries_pass_the_element_loop(self):
         One = enum.IntEnum("One", "one")  # One.one == 1

@@ -15,6 +15,7 @@ from wschreier.catalog import (
     trivial_monoid,
 )
 from wschreier.monoid import (
+    Congruence,
     FiniteMonoid,
     FormatError,
     MonoidHom,
@@ -234,8 +235,6 @@ class TestCongruence:
         assert check_hom(sl3, Q, proj.map).ok
 
     def test_quotient_requires_congruence(self, sl3):
-        from wschreier.monoid import Congruence
-
         with pytest.raises(PreconditionError):
             quotient(sl3, Congruence(sl3, (0, 1, 0)))
 
@@ -269,6 +268,26 @@ class TestCongruence:
     def test_closure_generators_are_cells(self, sl3, pair, message):
         with pytest.raises(FormatError, match="^%s$" % re.escape(message)):
             congruence_closure(sl3, [(0, 0), pair])
+
+    @pytest.mark.parametrize(
+        "ids, bad",
+        [
+            ((None, [], 2), None),
+            ((0.5, 0.5, 2), 0.5),
+            ((0, 1.5, 2), 1.5),
+            ((0, True, 2), True),
+            (("0", 1, 2), "0"),
+        ],
+    )
+    def test_class_ids_are_plain_ints(self, ids, bad):
+        # no range bound: any plain ints name the classes
+        M = chain_lattice(3)
+        message = "^class id %s is not a plain int$" % re.escape(repr(bad))
+        with pytest.raises(FormatError, match=message):
+            Congruence(M, ids)
+        with pytest.raises(FormatError, match=message):
+            is_congruence(M, ids)
+        assert Congruence(M, (7, -3, 7)).class_id == (0, 1, 0)
 
 
 class TestSubKernelCokernel:

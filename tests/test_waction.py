@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,7 @@ from wschreier.waction import (
     ActionTable,
     AdmissibleRelation,
     WActPair,
+    _order_key,
     action_signature,
     actions_equivalent,
     admissible_relations,
@@ -74,6 +76,14 @@ class TestAdmissibleRelation:
     def test_class_ids_normalised(self, sl3, sl2):
         E = AdmissibleRelation(sl3, sl2, ((0, 1, 2), (5, 5, 9)))
         assert E.fibers == ((0, 1, 2), (0, 0, 1))
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    def test_class_ids_are_plain_ints(self, sl2, bad):
+        # True == 1 once merged the two into one class
+        message = "^class id %s is not a plain int$" % re.escape(repr(bad))
+        with pytest.raises(FormatError, match=message):
+            AdmissibleRelation(sl2, sl2, ((0, 1), (bad, 1)))
+        assert AdmissibleRelation(sl2, sl2, ((0, 1), (1, 1))).fibers == ((0, 1), (0, 0))
 
     def test_discrete(self, sl3, sl2):
         E = AdmissibleRelation.discrete(sl3, sl2)
@@ -345,14 +355,42 @@ class TestOrder:
         with pytest.raises(FormatError):
             waction_leq(p1, p2)
 
-    def test_leq_matches_morphism_existence(self, enum_cache, sl2, c2):
-        for N, H in ((sl2, sl2), (c2, c2)):
-            pairs = enum_cache.wactions(N, H)
-            exts = [build_extension(p) for p in pairs]
-            for i, p1 in enumerate(pairs):
-                for j, p2 in enumerate(pairs):
-                    has_morphism = extension_morphism(exts[i], exts[j]) is not None
-                    assert waction_leq(p1, p2) == has_morphism
+
+    def test_fibers_refine_one_by_one(self, sl2):
+        # fiber 1 of p1 is total and that of p2 discrete, fiber 0 the other
+        # way round; without the offsets of _order_key the pairs of both
+        # fibers would be as many as p1's three classes
+        p1 = pair_of(sl2, sl2, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
+        p2 = pair_of(sl2, sl2, ((0, 0), (0, 1)), ((0, 1), (0, 1)))
+        assert not waction_leq(p1, p2)
+        assert not reference_waction_leq(p1, p2)
+
+    def test_leq_matches_morphism_existence(self, enum_cache):
+        """The order of the paper: an extension morphism between the built
+        extensions, on the 728 ordered pairs of the next test."""
+        compared = holds = 0
+        for N, H in IN_BOUND:
+            if N.size * H.size <= 6:
+                pairs = enum_cache.wactions(N, H)
+                exts = [build_extension(p) for p in pairs]
+                for p1, x1 in zip(pairs, exts):
+                    for p2, x2 in zip(pairs, exts):
+                        got = waction_leq(p1, p2)
+                        assert got == (extension_morphism(x1, x2) is not None)
+                        compared += 1
+                        holds += got
+        assert (compared, holds) == (728, 338)
+
+    def test_order_key_is_derived_once(self, enum_cache, sl3, sl2):
+        for p in enum_cache.wactions(sl3, sl2):
+            fresh = WActPair(p.E, p.alpha)
+            before = (fresh == p, hash(fresh), repr(fresh))
+            key = _order_key(fresh)
+            assert _order_key(fresh) is key
+            F, C, A, S = key
+            assert type(C) is int
+            assert all(type(x) is int for part in (F, A, S) for x in part)
+            assert (fresh == p, hash(fresh), repr(fresh)) == before == (True, hash(p), repr(p))
 
     def test_leq_matches_reference_on_small_catalog(self, enum_cache):
         compared = holds = 0
