@@ -28,7 +28,6 @@ enumerate_inverse_actions.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 
@@ -275,6 +274,8 @@ def cmd_enumerate(args) -> int:
 
 
 def _fingerprint(p) -> str:
+    import hashlib  # only poset needs it; a cold import costs a few ms
+
     body = repr((p.E.fibers, p.alpha.act)).encode()
     return hashlib.sha1(body).hexdigest()[:8]
 

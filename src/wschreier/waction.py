@@ -13,11 +13,12 @@ weakly Schreier extensions; build_extension checks that the product of
 classes is well defined and leaves the assembly and verification of the
 extension to the builder shared with lambda_product and frames.artin_glueing
 (extension._extension_on_carrier).  waction_leq is the order matching the
-existence of extension morphisms.  It reads an order key of ints that each
-pair derives on first use and keeps (_order_key): the fibers flattened, with
-the class ids of each fiber numbered past those of the fibers before it, and
-the cell of each action value.  Refinement of every fiber and agreement of
-the actions are then one flat pass each.  enumerate_wactions lists every
+existence of extension morphisms.  It reads an order key that each pair
+derives on first use and keeps (_order_key): the fibers flattened cell by
+cell, an itemgetter over the cell of each cell's first classmate in its
+fiber, and an itemgetter over the cell of each action value.  Refinement of
+every fiber and agreement of the actions are then one C-level read-through
+of the other pair's flattened fibers each.  enumerate_wactions lists every
 pair for a given (N, H), one canonical action per equivalence class.  The
 relations and the actions come from the cell search of monoid._cell_search:
 one cell of a fiber or of the table at a time, each law instance checked
@@ -28,6 +29,7 @@ fiber classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .monoid import (
     BoundExceeded,
@@ -314,27 +316,33 @@ def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:
 
 
 def _order_key(p: WActPair) -> tuple:
-    """(F, C, A, S) of p, the ints that waction_leq reads.
+    """(F, R, A, S) of p, what waction_leq reads.
 
     F is the fibers flattened cell by cell, cell (h, n) at h * |N| + n, with
-    the class ids of fiber h offset past those of the fibers before it; C is
-    the number of classes in all; A[h * |N| + n] is the cell h * |N| +
-    alpha(h, n) of the action value; S is F read through A.  Derived on first
-    use and kept on the pair as _order, the way frames keeps _frame; it
-    takes no part in the pair's equality, hashing or repr.
+    the class ids as AdmissibleRelation normalized them; R is an itemgetter
+    over, for each cell, the cell of its first classmate in the same fiber;
+    A is an itemgetter over the cells h * |N| + alpha(h, n) of the action
+    values; S is A(F).  An itemgetter of one index returns a bare item, so
+    with one cell both getters are tuple.  Derived on first use and kept on
+    the pair as _order, the way frames keeps _frame; it takes no part in the
+    pair's equality, hashing or repr, and refers to neither the pair nor its
+    monoids.
     """
     try:
         return p._order
     except AttributeError:
         pass
     size = p.N.size
-    F, A, C = [], [], 0
+    F, R, A = [], [], []
     for h, (f, row) in enumerate(zip(p.E.fibers, p.alpha.act)):
-        F += [C + c for c in f]
-        C += max(f) + 1  # class ids are normalized by first occurrence
+        first = {}
+        F += f
+        R += [h * size + first.setdefault(c, n) for n, c in enumerate(f)]
         A += [h * size + v for v in row]
     # tuples from lists, as in extension._extension_on_carrier
-    key = (tuple(F), C, tuple(A), tuple([F[i] for i in A]))
+    F = tuple(F)
+    R, A = (itemgetter(*R), itemgetter(*A)) if len(F) > 1 else (tuple, tuple)
+    key = (F, R, A, A(F))
     object.__setattr__(p, "_order", key)
     return key
 
@@ -344,21 +352,20 @@ def waction_leq(p1: WActPair, p2: WActPair) -> bool:
     a1(h,n) ~ a2(h,n) in E2's fiber over h for all h, n.  This is the
     existence of a morphism between the built extensions.
 
-    Both halves are one flat pass over the keys of _order_key.  A fiber a
-    refines b when the pairs (a[n], b[n]) are as many as the classes of a.
-    The offsets keep the class ids of different fibers apart, so the pairs
-    of all cells are a disjoint union over the fibers; each fiber gives at
-    least as many pairs as it has classes, and the total equals C1 exactly
-    when every fiber refines.  Without the offsets, pairs of two fibers
-    could coincide and hide a fiber that does not.  F2 at cell h * |N| + x
-    is E2's class of x in fiber h plus a constant of h, so F2 read through
-    A1 equals S2 = F2 read through A2 exactly when the actions agree up to
-    E2."""
+    Two C-level read-throughs of E2's flattened fibers F2 (see _order_key).
+    E1's fiber over h refines E2's exactly when F2 takes one value on each
+    class of E1 there, that is when F2 at every cell equals F2 at the cell
+    of its first E1-classmate: R1(F2) == F2.  A first classmate lies in its
+    own fiber, so each cell is compared only with a cell of the same fiber
+    and the class ids of different fibers need no offsets to stay apart.
+    A1 and A2 read the same fiber of F2, so the actions agree up to E2
+    exactly when A1(F2) == S2 = A2(F2).  With one cell both getters are
+    tuple, and both tests compare F2 with itself."""
     if p1.N != p2.N or p1.H != p2.H:
         raise FormatError("pairs do not share the same N and H")
-    F1, C1, A1, _ = _order_key(p1)
+    _, R1, A1, _ = _order_key(p1)
     F2, _, _, S2 = _order_key(p2)
-    return len(set(zip(F1, F2))) == C1 and tuple([F2[i] for i in A1]) == S2
+    return R1(F2) == F2 and A1(F2) == S2
 
 
 def _bell(n: int) -> int:

@@ -42,7 +42,12 @@ for a built extension are recorded by wrapping the waction module's
 reference to the builder for the run, and the closures run by counting
 calls through the monoid module's reference to congruence_closure.
 Prints each difference and one line per section with the time each side
-took; exits 1 on any difference.
+took; exits 1 on any difference.  On a 2 vCPU VM with Python 3.11.7 a run
+takes about 6 s, and the leq section reads "31859 of 31859 cases identical;
+key 0.07-0.10 s, reference 0.58-0.82 s" over five runs.  The key side
+includes deriving the order key of each of the 1993 pairs on first use; the
+flat pass over a set of class pairs that the key replaced read 0.10-0.14 s
+beside it.
 """
 
 from __future__ import annotations

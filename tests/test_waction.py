@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,12 +360,35 @@ class TestOrder:
 
     def test_fibers_refine_one_by_one(self, sl2):
         # fiber 1 of p1 is total and that of p2 discrete, fiber 0 the other
-        # way round; without the offsets of _order_key the pairs of both
-        # fibers would be as many as p1's three classes
+        # way round; the pairs of class ids of both fibers taken together
+        # are as many as p1's three classes, so a count over all cells at
+        # once would miss the fiber that does not refine
         p1 = pair_of(sl2, sl2, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
         p2 = pair_of(sl2, sl2, ((0, 0), (0, 1)), ((0, 1), (0, 1)))
         assert not waction_leq(p1, p2)
         assert not reference_waction_leq(p1, p2)
+
+    def test_one_cell_pair(self, t1):
+        # an itemgetter of one index returns a bare item, not a tuple
+        p = pair_of(t1, t1, ((0,),), ((0,),))
+        assert waction_leq(p, p)
+        assert reference_waction_leq(p, p)
+
+    def test_each_half_can_fail_alone(self, c2, sl2):
+        discrete = ((0, 1), (0, 1))
+        p = pair_of(c2, sl2, discrete, ((0, 1), (0, 0)))
+        other_action = pair_of(c2, sl2, discrete, ((0, 1), (0, 1)))
+        collapsed = pair_of(c2, sl2, ((0, 1), (0, 0)), ((0, 1), (0, 0)))
+        for q in (p, other_action, collapsed):
+            assert check_admissible(q.E).ok and check_compatible_action(q.E, q.alpha).ok
+        # the fibers refine, the actions disagree up to the discrete fibers
+        assert p.E == other_action.E
+        assert not waction_leq(p, other_action)
+        assert not reference_waction_leq(p, other_action)
+        # the actions agree, the total fiber over 1 does not refine
+        assert actions_equivalent(p.E, collapsed.alpha, p.alpha)
+        assert not waction_leq(collapsed, p)
+        assert not reference_waction_leq(collapsed, p)
 
     def test_leq_matches_morphism_existence(self, enum_cache):
         """The order of the paper: an extension morphism between the built
@@ -387,9 +412,12 @@ class TestOrder:
             before = (fresh == p, hash(fresh), repr(fresh))
             key = _order_key(fresh)
             assert _order_key(fresh) is key
-            F, C, A, S = key
-            assert type(C) is int
-            assert all(type(x) is int for part in (F, A, S) for x in part)
+            F, R, A, S = key
+            assert all(type(x) is int for part in (F, S) for x in part)
+            for getter in (R, A):  # an itemgetter refers to its class and its cells
+                cells = [r for r in gc.get_referents(getter) if r is not itemgetter]
+                assert cells and all(type(c) is tuple for c in cells)
+                assert all(type(x) is int for c in cells for x in c)
             assert (fresh == p, hash(fresh), repr(fresh)) == before == (True, hash(p), repr(p))
 
     def test_leq_matches_reference_on_small_catalog(self, enum_cache):
