@@ -48,8 +48,8 @@ class SplitExtension:
 
     ks[h][n] = k(n) * s(h) is the factor table, derived once per instance.
     verified starts False, and verify_split_extension sets it on the instance
-    it passes.  Like FiniteMonoid.elements, neither takes part in equality,
-    hashing or repr.
+    it passes.  retraction_candidates keeps its result on it as _cands.  Like
+    FiniteMonoid.elements, none of them takes part in equality, hashing or repr.
     """
 
     N: FiniteMonoid
@@ -193,9 +193,14 @@ def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
 
 
 def retraction_candidates(ext: SplitExtension) -> tuple:
-    """For each g, the sorted tuple of n with ext.ks[e(g)][n] = g."""
-    ks, e = ext.ks, ext.e.map
-    return tuple([tuple([n for n, x in enumerate(ks[e[g]]) if x == g]) for g in ext.G.elements])
+    """For each g, the sorted tuple of n with ext.ks[e(g)][n] = g; derived on
+    first use and kept on ext, as find_retraction and extension_morphism
+    ask for it again."""
+    if not hasattr(ext, "_cands"):
+        ks, e = ext.ks, ext.e.map
+        cands = [tuple([n for n, x in enumerate(ks[e[g]]) if x == g]) for g in ext.G.elements]
+        object.__setattr__(ext, "_cands", tuple(cands))
+    return ext._cands
 
 
 def find_retraction(ext: SplitExtension) -> Verdict:

@@ -9,21 +9,23 @@ fiber over h*y for every y.  A compatible action is a table alpha(h, n)
 satisfying the six congruence-and-action laws below, each only up to E.
 
 build_extension and extract_waction convert between pairs (E, alpha) and
-weakly Schreier extensions; build_extension checks that the product of
-classes is well defined and leaves the assembly and verification of the
-extension to the builder shared with lambda_product and frames.artin_glueing
-(extension._extension_on_carrier).  waction_leq is the order matching the
-existence of extension morphisms.  It reads an order key that each pair
-derives on first use and keeps (_order_key): the fibers flattened cell by
-cell, an itemgetter over the cell of each cell's first classmate in its
-fiber, and an itemgetter over the cell of each action value.  Refinement of
-every fiber and agreement of the actions are then one C-level read-through
-of the other pair's flattened fibers each.  enumerate_wactions lists every
-pair for a given (N, H), one canonical action per equivalence class.  The
-relations and the actions come from the cell search of monoid._cell_search:
-one cell of a fiber or of the table at a time, each law instance checked
-once its reads are known, the actions drawn only from the least members of
-fiber classes.
+weakly Schreier extensions.  build_extension reads the class of each product
+n1 * alpha(h1, n2) into a table with one row per cell (h1, n1); two
+whole-row read-throughs over first classmates then compare every pair of
+class representatives (see build_extension).  The builder shared with
+lambda_product and frames.artin_glueing (extension._extension_on_carrier)
+assembles and verifies the extension.  A pair keeps a passed check on it
+(_validated).  waction_leq is the order matching the existence of extension
+morphisms.  It reads an order key that each pair derives on first use and
+keeps (_order_key): the fibers flattened cell by cell, an itemgetter over
+the cell of each cell's first classmate in its fiber, and an itemgetter over
+the cell of each action value.  Refinement of every fiber and agreement of
+the actions are then one C-level read-through of the other pair's flattened
+fibers each.  enumerate_wactions lists every pair for a given (N, H), one
+canonical action per equivalence class.  The relations and the actions come
+from the cell search of monoid._cell_search: one cell of a fiber or of the
+table at a time, each law instance checked once its reads are known, the
+actions drawn only from the least members of fiber classes.
 """
 
 from __future__ import annotations
@@ -247,9 +249,19 @@ class WActPair:
         return self.E.H
 
 
+def _checked(p: WActPair) -> WActPair:
+    object.__setattr__(p, "_valid", True)
+    return p
+
+
 def _validated(p: WActPair) -> WActPair:
-    check_admissible(p.E).expect("check_admissible")
-    check_compatible_action(p.E, p.alpha).expect("check_compatible_action")
+    """p, once E is admissible and alpha compatible.  A pass is kept on p as
+    _valid, outside equality, hashing and repr, as enumerate_wactions and
+    extract_waction keep theirs; a failure is repeated on every call."""
+    if not getattr(p, "_valid", False):
+        check_admissible(p.E).expect("check_admissible")
+        check_compatible_action(p.E, p.alpha).expect("check_compatible_action")
+        _checked(p)
     return p
 
 
@@ -257,37 +269,34 @@ def build_extension(p: WActPair) -> SplitExtension:
     """The weakly Schreier extension with carrier (N x H) / E.
 
     [n, h] * [n', h'] = [n * alpha(h, n'), h * h'], k(n) = [n, 1],
-    e([n, h]) = h, s(h) = [1, h].  Multiplication well-definedness is
-    re-checked over every representative pair even though it is a theorem
-    for valid input; a mismatch raises ConsistencyError.
+    e([n, h]) = h, s(h) = [1, h]; a class is the carrier pair (least member,
+    h).  Row (h1, n1) of the cell table P holds at (h2, n2) the class of
+    n1 * alpha(h1, n2) over h1 * h2.  Read through R, the cell of each cell's
+    first classmate, P is unchanged, so P[c] = P[first(c)], and so is each
+    first row, so P[first(c)][d] = P[first(c)][first(d)]: P is constant on
+    each pair of classes, which re-checks well-definedness (a theorem for
+    valid input).  A failure raises ConsistencyError naming the first pair.
     """
     _validated(p)
-    N, H, E = p.N, p.H, p.E
-    act = p.alpha.act
-    tn, th = N.table, H.table
-    carrier = []
-    members = []
-    least = []  # least[h][n]: the least member of n's class in fiber h
-    for h in H.elements:
-        blocks = E.blocks(h)
-        carrier.extend((block[0], h) for block in blocks)
-        members.extend(blocks)
-        least.append(tuple(blocks[c][0] for c in E.fibers[h]))
-    products = []
-    for i, (_, h1) in enumerate(carrier):
-        row = []
-        for j, (_, h2) in enumerate(carrier):
-            h = th[h1][h2]
-            lh = least[h]
-            results = {lh[tn[n1][act[h1][n2]]] for n1 in members[i] for n2 in members[j]}
-            if len(results) != 1:
-                raise ConsistencyError(
-                    "product of classes %d and %d is not well defined" % (i, j)
-                )
-            row.append((results.pop(), h))
-        products.append(row)
-    s = [(least[h][N.identity], h) for h in H.elements]
-    return _extension_on_carrier(N, H, carrier, products, s, "built extension", "[%s,%s]")[0]
+    N, H, tn, size = p.N, p.H, p.N.table, p.N.size
+    first = {}
+    F, K = zip(*[first.setdefault((h, c), (h * size + n, (n, h)))  # first classmate, class
+                 for h, f in enumerate(p.E.fibers) for n, c in enumerate(f)])
+    reps = [c for c, r in enumerate(F) if c == r]
+    P = []
+    for act, hh in zip(p.alpha.act, H.table):
+        for n1 in N.elements:
+            m = [tn[n1][x] for x in act]
+            P.append(tuple([K[g * size + v] for g in hh for v in m]))
+    P = tuple(P)  # with one cell both getters are tuple, as in _order_key
+    R, cut = (itemgetter(*F), itemgetter(*reps)) if len(P) > 1 else (tuple, tuple)
+    if R(P) != P or not all(R(P[r]) == P[r] for r in reps):
+        i, j = min((reps.index(a), reps.index(b)) for x, a in enumerate(F)
+                   for y, b in enumerate(F) if P[x][y] != P[a][b])
+        raise ConsistencyError("product of classes %d and %d is not well defined" % (i, j))
+    s = [K[h * size + N.identity] for h in H.elements]
+    products = [cut(P[r]) for r in reps]
+    return _extension_on_carrier(N, H, cut(K), products, s, "built extension", "[%s,%s]")[0]
 
 
 def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:
@@ -312,7 +321,7 @@ def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:
     if not va.ok or not vc.ok:
         bad = (va.violations + vc.violations)[0]
         raise ConsistencyError("extracted pair fails validation: %s" % (bad,))
-    return pair
+    return _checked(pair)
 
 
 def _order_key(p: WActPair) -> tuple:
@@ -495,6 +504,5 @@ def enumerate_wactions(N: FiniteMonoid, H: FiniteMonoid, bound: int = DEFAULT_BO
             % (N.size * H.size, bound, estimate),
             estimate,
         )
-    return tuple(
-        WActPair(E, a) for E in admissible_relations(N, H) for a in _action_tables(E, True)
-    )
+    return tuple(_checked(WActPair(E, a))
+                 for E in admissible_relations(N, H) for a in _action_tables(E, True))

@@ -13,11 +13,12 @@ from dataclasses import replace
 import pytest
 
 from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
-from wschreier.extension import direct_product_extension
+from wschreier.extension import _extension_on_carrier, direct_product_extension
 from wschreier.frames import FiniteFrame
 from wschreier.monoid import (
     BoundExceeded,
     Congruence,
+    ConsistencyError,
     FiniteMonoid,
     FormatError,
     MonoidHom,
@@ -638,15 +639,66 @@ def reference_wactions(N, H, bound: int = DEFAULT_BOUND):
     return tuple(out)
 
 
-def relabelled(M, rng):
-    """M under a random permutation of its elements, identity included."""
-    p = list(M.elements)
-    rng.shuffle(p)
+def reference_build_extension(p):
+    """The set-per-class-pair loop that the cell table of build_extension
+    replaced: the pair is checked in full, then for every pair of carrier
+    classes the set of the classes of n1 * alpha(h1, n2) over all members
+    n1 and n2 must hold one class; the extension is then assembled by the
+    library's shared builder, as it was."""
+    check_admissible(p.E).expect("check_admissible")
+    check_compatible_action(p.E, p.alpha).expect("check_compatible_action")
+    N, H, E = p.N, p.H, p.E
+    act = p.alpha.act
+    tn, th = N.table, H.table
+    carrier, members, least = [], [], []  # least[h][n]: least member of n's class
+    for h in H.elements:
+        blocks = E.blocks(h)
+        carrier.extend((block[0], h) for block in blocks)
+        members.extend(blocks)
+        least.append(tuple(blocks[c][0] for c in E.fibers[h]))
+    products = []
+    for i, (_, h1) in enumerate(carrier):
+        row = []
+        for j, (_, h2) in enumerate(carrier):
+            h = th[h1][h2]
+            lh = least[h]
+            results = {lh[tn[n1][act[h1][n2]]] for n1 in members[i] for n2 in members[j]}
+            if len(results) != 1:
+                raise ConsistencyError("product of classes %d and %d is not well defined" % (i, j))
+            row.append((results.pop(), h))
+        products.append(row)
+    s = [(least[h][N.identity], h) for h in H.elements]
+    return _extension_on_carrier(N, H, carrier, products, s, "built extension", "[%s,%s]")[0]
+
+
+def relabelled_pair(p, rng):
+    """p carried to relabelled copies of N and H (see relabelled), as a new,
+    unchecked WActPair: fiber pH[h] relates pN[n1] and pN[n2] when fiber h
+    relates n1 and n2, and alpha'(pH[h], pN[n]) = pN[alpha(h, n)]."""
+    pN, pH = (rng.sample(M.elements, M.size) for M in (p.N, p.H))
+    N, H = _transported(p.N, pN), _transported(p.H, pH)
+    fibers = [[0] * N.size for _ in H.elements]
+    act = [[0] * N.size for _ in H.elements]
+    for h in p.H.elements:
+        for n in p.N.elements:
+            fibers[pH[h]][pN[n]] = p.E.fibers[h][n]
+            act[pH[h]][pN[n]] = pN[p.alpha.act[h][n]]
+    return WActPair(AdmissibleRelation(N, H, fibers), ActionTable(N, H, act))
+
+
+def _transported(M, p):
     table = [[0] * M.size for _ in M.elements]
     for a in M.elements:
         for b in M.elements:
             table[p[a]][p[b]] = p[M.table[a][b]]
     return FiniteMonoid(M.size, p[M.identity], tuple(map(tuple, table)))
+
+
+def relabelled(M, rng):
+    """M under a random permutation of its elements, identity included."""
+    p = list(M.elements)
+    rng.shuffle(p)
+    return _transported(M, p)
 
 
 def one_cell_mutant(table, rng):

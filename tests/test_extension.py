@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -312,6 +312,17 @@ class TestFactorTable:
         assert "ks" not in repr(product_ext)
         other = verify_split_extension(direct_product_extension(sl2, sl2)).value
         assert other == product_ext and hash(other) == hash(product_ext)
+
+    def test_candidates_are_derived_once(self, product_ext, glued_chain, diagonal_section):
+        for ext in (product_ext, glued_chain, diagonal_section):
+            fresh = replace(ext)
+            assert not hasattr(fresh, "_cands")
+            before = (hash(fresh), repr(fresh))
+            cands = retraction_candidates(fresh)
+            assert retraction_candidates(fresh) is cands
+            assert cands == reference_retraction_candidates(fresh)
+            assert fresh == ext and (hash(fresh), repr(fresh)) == before == (hash(ext), repr(ext))
+            assert "_cands" not in {f.name for f in fields(SplitExtension)}
 
     def check_against_references(self, exts):
         """Candidates of each extension, and morphisms between every ordered

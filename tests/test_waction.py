@@ -7,6 +7,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 from conftest import (
     blocks_to_classes,
     naive_admissible,
@@ -15,9 +16,11 @@ from conftest import (
     normalize_classes,
     reference_admissible_relations,
     reference_compatible_actions,
+    reference_build_extension,
     reference_waction_leq,
     reference_wactions,
     relabelled,
+    relabelled_pair,
     set_partitions,
 )
 from wschreier.catalog import (
@@ -36,7 +39,15 @@ from wschreier.extension import (
     verify_split_extension,
 )
 from wschreier.lambda_product import artin_like_action, join_hom, waction_of
-from wschreier.monoid import BoundExceeded, FormatError, PreconditionError
+from wschreier import waction as waction_mod
+from wschreier.monoid import (
+    BoundExceeded,
+    ConsistencyError,
+    FiniteMonoid,
+    FormatError,
+    PreconditionError,
+    Verdict,
+)
 from wschreier.waction import (
     DEFAULT_BOUND,
     ActionTable,
@@ -221,6 +232,115 @@ class TestBuildExtension:
         r = find_retraction(a).value
         with pytest.raises(FormatError):
             extract_waction(b, r)
+
+    @staticmethod
+    def exact(ext):
+        return ext.G.table, ext.G.identity, ext.G.labels, ext.k.map, ext.e.map, ext.s.map
+
+    def test_matches_reference_on_catalog(self, enum_cache):
+        """The cell table against the set per class pair that it replaced,
+        on the 1993 pairs of the 310 in-bound (N, H) and one relabelling of
+        each; a relabelled pair is built unchecked, so it is checked in
+        full on its first build."""
+        rng = random.Random(20201019)
+        pairs = [p for N, H in IN_BOUND for p in enum_cache.wactions(N, H)]
+        assert len(pairs) == 1993
+        for p in pairs + [relabelled_pair(p, rng) for p in pairs]:
+            assert self.exact(build_extension(p)) == self.exact(reference_build_extension(p))
+
+    # Incompatible pairs on which one half of the well-definedness test
+    # fails and the other holds.  Row half: row (h1, n1) of the cell table
+    # equals the row of n1's first classmate in fiber h1.  Column half: each
+    # such first row is constant on the classes of every fiber.
+    ONE_HALF_FAILS = {
+        "row": (((0, 1, 2), (1, 1, 1), (2, 2, 2)), ((0, 1, 2), (0, 0, 1)),
+                ((0, 0, 0), (0, 0, 2)), (3, 2)),
+        "column": (((0, 1, 2), (1, 1, 2), (2, 2, 2)), ((0, 1, 2), (0, 0, 1)),
+                   ((0, 0, 0), (0, 2, 0)), (3, 3)),
+    }
+
+    @staticmethod
+    def halves(p):
+        """Whether the row half and the column half hold, worked out cell by
+        cell from the classes of the products."""
+        N, H, f = p.N, p.H, p.E.fibers
+        cells = [(h, n) for h in H.elements for n in N.elements]
+        first = {(h, n): (h, f[h].index(f[h][n])) for h, n in cells}
+
+        def P(c1, c2):
+            (h1, n1), (h2, n2) = c1, c2
+            g = H.table[h1][h2]
+            return g, f[g][N.table[n1][p.alpha.act[h1][n2]]]
+
+        rows = all(P(c1, c2) == P(first[c1], c2) for c1 in cells for c2 in cells)
+        columns = all(P(r, c) == P(r, first[c]) for r in set(first.values()) for c in cells)
+        return rows, columns
+
+    @pytest.mark.parametrize("half", sorted(ONE_HALF_FAILS))
+    def test_ill_defined_product_is_reported(self, monkeypatch, sl2, half):
+        """Reached by marking an incompatible pair as checked; the message
+        names the first class pair (in carrier order) whose products fall
+        in more than one class, as the reference loop does when its own
+        checks are skipped."""
+        table, fibers, act, (i, j) = self.ONE_HALF_FAILS[half]
+        p = pair_of(FiniteMonoid(3, 0, table), sl2, fibers, act)
+        assert not check_compatible_action(p.E, p.alpha).ok
+        assert self.halves(p) == (half != "row", half != "column")
+        message = "product of classes %d and %d is not well defined" % (i, j)
+        monkeypatch.setattr(conftest, "check_compatible_action", lambda E, a: Verdict(a))
+        with pytest.raises(ConsistencyError, match=message):
+            reference_build_extension(p)
+        object.__setattr__(p, "_valid", True)
+        with pytest.raises(ConsistencyError, match="^%s$" % message):
+            build_extension(p)
+
+
+class TestValidateOnce:
+    """A passed check of a pair is kept on it as _valid; a failed one is not."""
+
+    def test_enumerated_and_extracted_pairs_are_marked(self, enum_cache, sl3, sl2):
+        for p in enum_cache.wactions(sl3, sl2):
+            assert p._valid
+            fresh = WActPair(p.E, p.alpha)
+            assert not hasattr(fresh, "_valid")
+            ext = build_extension(fresh)
+            assert fresh._valid
+            back = extract_waction(ext, find_retraction(ext).value)
+            assert back._valid
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        calls = []
+        for name in ("check_admissible", "check_compatible_action"):
+            real = getattr(waction_mod, name)
+            monkeypatch.setattr(waction_mod, name, lambda *a, real=real, name=name: (
+                calls.append(name) or real(*a)))
+        return calls
+
+    def test_marked_pairs_are_not_checked_again(self, monkeypatch, enum_cache, sl3, sl2):
+        calls = self.count_checks(monkeypatch)
+        p = enum_cache.wactions(sl3, sl2)[-1]
+        fresh = WActPair(p.E, p.alpha)
+        for _ in range(2):
+            build_extension(p)
+            build_extension(fresh)
+        assert calls == ["check_admissible", "check_compatible_action"]
+
+    def test_failed_check_is_repeated(self, monkeypatch, sl3, sl2):
+        calls = self.count_checks(monkeypatch)
+        p = pair_of(sl3, sl2, ((0, 1, 2), (0, 1, 2)), ((0, 1, 2), (1, 1, 1)))
+        for n in (1, 2):
+            with pytest.raises(PreconditionError, match="check_compatible_action"):
+                build_extension(p)
+            assert calls == ["check_admissible", "check_compatible_action"] * n
+            assert not hasattr(p, "_valid")
+
+    def test_mark_takes_no_part_in_equality(self, enum_cache, sl3, sl2):
+        for p in enum_cache.wactions(sl3, sl2):
+            fresh = WActPair(p.E, p.alpha)
+            before = (hash(fresh), repr(fresh))
+            build_extension(fresh)
+            assert fresh == p and (hash(fresh), repr(fresh)) == before == (hash(p), repr(p))
 
 
 class TestEnumeration:
