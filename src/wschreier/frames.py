@@ -21,17 +21,20 @@ label-free result on the FiniteMonoid, and the glueing functions keep a
 passed hom check on the MonoidHom, so a sweep over the homs between a few
 frames checks each frame once.  Constructed outputs are new instances and
 are checked on every call: the glued frame, and the pointwise meet that
-glueing_join returns.
+glueing_join returns.  The glued frame's laws are checked on its generators
+k(N) and s(H), in full on a failure; joins are read off up-set bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .monoid import (
     ConsistencyError,
     FiniteMonoid,
     MonoidHom,
+    PreconditionError,
     Verdict,
     Violation,
     _hom_laws,
@@ -68,50 +71,47 @@ class FiniteFrame:
         return self.leq[a][b]
 
 
-def _frame_laws(M: FiniteMonoid):
-    t = M.table
-    n = M.size
-    for a in range(n):
+def _frame_laws(M: FiniteMonoid, gens=None):
+    """(leq, join, bottom) of M, or the first Violation of the frame laws.
+    gens, when given, generate M: only they are checked for idempotence,
+    commutativity and as the outer a of distributivity (monoid.check_monoid's
+    closure lemma), and a violation reruns the full check."""
+    t, n = M.table, M.size
+    outer = M.elements if gens is None else tuple(gens)
+
+    def fail(law, witness):
+        return Violation(law, witness) if gens is None else _frame_laws(M)
+
+    for i, a in enumerate(outer):
         if t[a][a] != a:
-            return Violation("idempotent", (a,))
-        for b in range(a + 1, n):
+            return fail("idempotent", (a,))
+        for b in outer[i + 1 :]:
             if t[a][b] != t[b][a]:
-                return Violation("commutative", (a, b))
+                return fail("commutative", (a, b))
     leq = tuple([tuple([x == a for x in t[a]]) for a in range(n)])
-    # a commutative idempotent monoid is a meet-semilattice with the identity
-    # as top, so the meet of the common upper bounds of a and b is their join
-    ups = [[c for c, up in enumerate(above) if up] for above in leq]
-    top = M.identity
-    join = []
-    for a in range(n):
-        row = [join[b][a] for b in range(a)]
-        for b in range(a, n):
-            lb = leq[b]
-            j = top
-            for c in ups[a]:
-                if lb[c]:
-                    j = t[j][c]
-            row.append(j)
-        join.append(tuple(row))
-    join = tuple(join)
+    # a meet-semilattice now: the up-set of a v b, a bitmask, is up(a) & up(b)
+    bits = [1 << c for c in range(n)]
+    masks = [sum(compress(bits, above)) for above in leq]
+    by_mask = {m: a for a, m in enumerate(masks)}
+    try:
+        join = tuple([tuple([by_mask[ma & mb] for mb in masks]) for ma in masks])
+        bottom = by_mask[(1 << n) - 1]
+    except KeyError:
+        raise PreconditionError("frame laws of a table that is not associative") from None
     # the failing triples are symmetric in b and c, and b = c never fails, so
     # the first one in (a, b, c) order has b < c
-    for a in range(n):
+    for a in outer:
         ta = t[a]
         for b in range(n):
             jb = join[b]
             jab = join[ta[b]]
             for c in range(b + 1, n):
                 if ta[jb[c]] != jab[ta[c]]:
-                    return Violation("distributive", (a, b, c))
-    bottom = 0
-    for a in range(n):
-        if leq[a][bottom]:
-            bottom = a
+                    return fail("distributive", (a, b, c))
     return leq, join, bottom
 
 
-def _frame_data(M: FiniteMonoid):
+def _frame_data(M: FiniteMonoid, gens=None):
     """(leq, join, bottom) of M, or the first Violation of the frame laws.
 
     Computed once per instance and kept on it as _frame, the way elements
@@ -120,7 +120,7 @@ def _frame_data(M: FiniteMonoid):
     try:
         return M._frame
     except AttributeError:
-        data = _frame_laws(M)
+        data = _frame_laws(M, gens)
         object.__setattr__(M, "_frame", data)
         return data
 
@@ -130,9 +130,9 @@ def check_frame(M: FiniteMonoid) -> Verdict:
 
     M must satisfy the monoid laws, as every FiniteMonoid from check_monoid,
     the loaders and the constructions does.  It is then a meet-semilattice
-    with the identity as top, so every pair has a join: the meet of its
-    common upper bounds.  The bottom is the meet of all elements.  The laws
-    are checked once per instance; each call returns a fresh Verdict.
+    with top, so every pair has a join, and a bottom, the meet of all
+    elements; a table that breaks the laws may raise PreconditionError.
+    The laws are checked once per instance; each call returns a fresh Verdict.
     """
     data = _frame_data(M)
     if isinstance(data, Violation):
@@ -169,6 +169,8 @@ def _glueing(f: MonoidHom):
     products = [[(tn[n1][n2], th[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
     s = [(f.map[h], h) for h in H.elements]
     ext, _ = _extension_on_carrier(N, H, carrier, products, s, "glueing")
+    # the builder checked that k(N), s(H) generate; check_frame reads the kept data
+    _frame_data(ext.G, set(ext.k.map).union(ext.s.map))
     glued = check_frame(ext.G)
     if not glued.ok:
         raise ConsistencyError("glueing carrier fails frame laws: %s" % (glued.violations[0],))

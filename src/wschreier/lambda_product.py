@@ -39,7 +39,7 @@ from .monoid import (
     inverse_structure,
 )
 from .extension import SchreierRetraction, SplitExtension, _extension_on_carrier
-from .waction import ActionTable, AdmissibleRelation, WActPair
+from .waction import ActionTable, AdmissibleRelation, WActPair, _checked
 
 __all__ = [
     "InverseAction",
@@ -81,7 +81,8 @@ class InverseAction:
 
 
 def check_inverse_action(N: InverseStructure, H: InverseStructure, act) -> Verdict:
-    """The three action laws; h.1 = 1 is deliberately not one of them."""
+    """The three action laws; h.1 = 1 is deliberately not one of them.  A pass
+    is kept on the returned action (waction._checked), and lambda_product reads it."""
     a = InverseAction(N, H, act)
     tn, th = N.base.table, H.base.table
     rows = a.act
@@ -101,7 +102,7 @@ def check_inverse_action(N: InverseStructure, H: InverseStructure, act) -> Verdi
             for n in N.base.elements:
                 if comp[n] != row[row2[n]]:
                     return Verdict(None, (Violation("act-compose", (h, h2, n)),))
-    return Verdict(a)
+    return Verdict(_checked(a))
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,15 @@ class LambdaProduct:
 def lambda_product(a: InverseAction) -> LambdaProduct:
     """Build and verify the lambda semidirect product of a valid action.
 
-    The action is validated first (PreconditionError if not).  The carrier,
-    its twisted product and s go to the shared extension builder, which
-    checks closure, the monoid laws, the split-extension laws and the first
-    projection as a Schreier retraction, and raises ConsistencyError on a
-    failure, since each is a theorem for a valid action.  That retraction
-    comes back with the extension.
+    The action is validated first, unless check_inverse_action returned it
+    (PreconditionError if not valid).  The carrier, its twisted product and
+    s go to the shared extension builder, which checks closure, the monoid
+    laws, the split-extension laws and the first projection as a Schreier
+    retraction, and raises ConsistencyError on a failure, since each is a
+    theorem for a valid action.  That retraction comes back with it.
     """
-    check_inverse_action(a.N, a.H, a.act).expect("check_inverse_action")
+    if not getattr(a, "_valid", False):
+        check_inverse_action(a.N, a.H, a.act).expect("check_inverse_action")
     N, H = a.N.base, a.H.base
     tn, th = N.table, H.table
     rows = a.act

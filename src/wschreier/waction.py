@@ -249,7 +249,7 @@ class WActPair:
         return self.E.H
 
 
-def _checked(p: WActPair) -> WActPair:
+def _checked(p):
     object.__setattr__(p, "_valid", True)
     return p
 

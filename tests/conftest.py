@@ -8,6 +8,7 @@ results can be compared against an independent implementation.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import replace
 
 import pytest
@@ -701,15 +702,44 @@ def relabelled(M, rng):
     return _transported(M, p)
 
 
-def one_cell_mutant(table, rng):
-    """table with one cell, chosen by rng, moved to another value; a table
-    of one element is returned as it is."""
-    n = len(table)
+def one_cell_mutant(table, rng, bound=None):
+    """table with one cell, chosen by rng, moved to another value in
+    range(bound), by default range(len(table)); with bound 1 (a table of
+    one element) it is returned as it is.  A map is mutated as a table of
+    one row, (map,)."""
+    bound = bound or len(table)
     rows = [list(r) for r in table]
-    if n > 1:
-        i, j = rng.randrange(n), rng.randrange(n)
-        rows[i][j] = (rows[i][j] + rng.randrange(1, n)) % n
+    if bound > 1:
+        i = rng.randrange(len(rows))
+        j = rng.randrange(len(rows[i]))
+        rows[i][j] = (rows[i][j] + rng.randrange(1, bound)) % bound
     return tuple(map(tuple, rows))
+
+
+def factor_cell_mutant(carrier, ext, rng):
+    """ext.G's table with the cell k(n) * s(h) of a random carrier pair
+    (n, h) moved to another element."""
+    n, h = carrier[rng.randrange(len(carrier))]
+    k, s = ext.k.map[n], ext.s.map[h]
+    rows = [list(r) for r in ext.G.table]
+    rows[k][s] = (rows[k][s] + rng.randrange(1, ext.G.size)) % ext.G.size
+    return tuple(map(tuple, rows))
+
+
+def full_path_outcome(build, *args):
+    """outcome(build, *args) with the associativity and hom checks of
+    wschreier.extension run in full, never on generators: check_monoid as
+    reference_check_monoid, and _hom_laws on every left factor."""
+    extension = sys.modules["wschreier.extension"]
+    saved = extension.check_monoid, extension._hom_laws
+    extension.check_monoid = lambda t, e=None, labels=None, *, _middles=None: (
+        reference_check_monoid(t, e, labels)
+    )
+    extension._hom_laws = lambda f, lefts=None: saved[1](f)
+    try:
+        return outcome(build, *args)
+    finally:
+        extension.check_monoid, extension._hom_laws = saved
 
 
 def naive_weakly_schreier(ext) -> bool:

@@ -25,7 +25,12 @@ from wschreier.frames import (
     glueing_join,
 )
 from wschreier.io import serialize_monoid
-from wschreier.lambda_product import artin_like_action, lambda_action_leq
+from wschreier.lambda_product import (
+    InverseAction,
+    artin_like_action,
+    lambda_action_leq,
+    lambda_product,
+)
 from wschreier.monoid import FiniteMonoid, MonoidHom, PreconditionError, identity_hom
 
 
@@ -53,6 +58,14 @@ def counting(monkeypatch, module, name):
 
 
 class TestCheckFrame:
+    def test_table_that_is_not_associative_is_a_precondition_error(self):
+        """Commutative and idempotent, but the product of two distinct
+        elements other than the identity 0 is 0: (1 * 1) * 2 = 0 and
+        1 * (1 * 2) = 1.  No element lies below all the others."""
+        M = FiniteMonoid(4, 0, ((0, 1, 2, 3), (1, 1, 0, 0), (2, 0, 2, 0), (3, 0, 0, 3)))
+        with pytest.raises(PreconditionError, match="^frame laws of a table that is not assoc"):
+            check_frame(M)
+
     def test_chains_are_frames(self):
         for k in (1, 2, 3, 4):
             verdict = check_frame(chain_lattice(k))
@@ -253,6 +266,21 @@ class TestGlueingEqualsLambda:
     def test_rejects_non_frame(self, c2):
         with pytest.raises(PreconditionError):
             glueing_equals_lambda(identity_hom(c2))
+
+    def test_each_action_is_checked_once(self, monkeypatch, sl2, sl3):
+        """artin_like_action keeps the passed check on the action it returns,
+        so lambda_product does not repeat it; an action built directly is
+        checked on every lambda_product."""
+        calls = counting(monkeypatch, lambda_mod, "check_inverse_action")
+        homs = all_homs(sl2, sl3) + all_homs(sl3, sl2)
+        for f in homs:
+            assert glueing_equals_lambda(f)
+        assert len(calls) == len(homs)
+        a = artin_like_action(homs[0])
+        direct = InverseAction(a.N, a.H, a.act)
+        for _ in range(2):
+            lambda_product(direct)
+        assert len(calls) == len(homs) + 3
 
 
 class TestGlueingJoin:
