@@ -19,10 +19,12 @@ independent constructions.
 Frames and meet-homs are validated once per instance.  check_frame keeps its
 label-free result on the FiniteMonoid, and the glueing functions keep a
 passed hom check on the MonoidHom, so a sweep over the homs between a few
-frames checks each frame once.  Constructed outputs are new instances and
-are checked on every call: the glued frame, and the pointwise meet that
-glueing_join returns.  The glued frame's laws are checked on its generators
-k(N) and s(H), in full on a failure; joins are read off up-set bitmasks.
+frames checks each frame once; that mark is set only once both frames have
+passed too, so a marked hom skips the frame lookups.  Constructed outputs are
+new instances and are checked on every call: the glued frame, and the
+pointwise meet that glueing_join returns, whose map skips only the range check
+(join_hom).  The glued frame's laws are checked on its generators k(N) and
+s(H), in full on a failure; joins are read off up-set bitmasks.
 """
 
 from __future__ import annotations
@@ -150,12 +152,14 @@ def _require_frame(M: FiniteMonoid, what: str):
 def _require_frames(f: MonoidHom):
     """The frame data of f.target, once both ends are frames and f is a
     monoid hom (PreconditionError otherwise).  A passed hom check is kept
-    on f as _meet_hom; a failed one is repeated on every call."""
+    on f as _meet_hom once both frames passed too, so a marked f returns the
+    data kept on its target at once; a failed check is repeated on every call."""
+    if getattr(f, "_meet_hom", False):
+        return f.target._frame
     _require_frame(f.source, "check_frame(source)")
     target = _require_frame(f.target, "check_frame(target)")
-    if not getattr(f, "_meet_hom", False):
-        _hom_laws(f).expect("check_hom")
-        object.__setattr__(f, "_meet_hom", True)
+    _hom_laws(f).expect("check_hom")
+    object.__setattr__(f, "_meet_hom", True)
     return target
 
 

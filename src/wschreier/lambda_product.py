@@ -30,6 +30,7 @@ from .monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    _Cells,
     _hom_laws,
     _hom_search,
     center,
@@ -217,11 +218,15 @@ def artin_like_action(f: MonoidHom) -> InverseAction:
 
 
 def join_hom(f: MonoidHom, g: MonoidHom) -> MonoidHom:
-    """Pointwise product of two parallel homs into central idempotents."""
-    if f.source != g.source or f.target != g.target:
+    """Pointwise product of two parallel homs into central idempotents.  The
+    parallel check compares by identity before FiniteMonoid.__eq__.  Each cell
+    is read off the target's validated table, so the map goes to check_hom as
+    _Cells, with no range check; the hom laws run on every call."""
+    S, T = f.source, f.target
+    if (S is not g.source and S != g.source) or (T is not g.target and T != g.target):
         raise FormatError("homs are not parallel")
-    m = tuple([f.target.table[f.map[h]][g.map[h]] for h in f.source.elements])
-    return check_hom(f.source, f.target, m).expect("join_hom")
+    m = _Cells([T.table[a][b] for a, b in zip(f.map, g.map)])
+    return check_hom(S, T, m).expect("join_hom")
 
 
 def artin_join(f: MonoidHom, g: MonoidHom) -> InverseAction:

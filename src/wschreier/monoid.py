@@ -108,6 +108,10 @@ class _Rows(tuple):
     check_monoid together with an identity it has validated too."""
 
 
+class _Cells(tuple):
+    """A hom map read off the target's validated table: each cell is in range."""
+
+
 def _bad_cell(cells, bound: int):
     """The index of the first cell that is not a plain int in 0..bound-1, or
     None.  A bool is no plain int; other int subclasses pass."""
@@ -302,7 +306,8 @@ def inverse_structure(M: FiniteMonoid) -> Verdict:
 
 @dataclass(frozen=True)
 class MonoidHom:
-    """A map between monoids, stored as an index array over the source."""
+    """A map between monoids, a plain tuple over the source.  A _Cells map, read
+    off the target's validated table, skips the range check but not the length."""
 
     source: FiniteMonoid
     target: FiniteMonoid
@@ -312,7 +317,7 @@ class MonoidHom:
         m = tuple(self.map)
         if len(m) != self.source.size:
             raise FormatError("hom map has %d entries, expected %d" % (len(m), self.source.size))
-        if (i := _bad_cell(m, self.target.size)) is not None:
+        if type(self.map) is not _Cells and (i := _bad_cell(m, self.target.size)) is not None:
             raise FormatError("hom image of %d is %r, out of range" % (i, m[i]))
         object.__setattr__(self, "map", m)
 
@@ -321,10 +326,10 @@ class MonoidHom:
 
 
 def check_hom(source: FiniteMonoid, target: FiniteMonoid, map_) -> Verdict:
-    """Check identity and multiplication preservation of a candidate hom,
-    built here from map_ (FormatError on a bad shape).  A caller that holds
-    a MonoidHom already checks it with _hom_laws, the same law loop."""
-    return _hom_laws(MonoidHom(source, target, tuple(map_)))
+    """Check identity and multiplication preservation of a candidate hom built
+    here from map_ as given, _Cells included (FormatError on a bad shape).  A
+    caller that holds a MonoidHom checks it with _hom_laws, the same loop."""
+    return _hom_laws(MonoidHom(source, target, map_))
 
 
 def _hom_laws(f: MonoidHom, lefts=None) -> Verdict:

@@ -369,8 +369,9 @@ def waction_leq(p1: WActPair, p2: WActPair) -> bool:
     and the class ids of different fibers need no offsets to stay apart.
     A1 and A2 read the same fiber of F2, so the actions agree up to E2
     exactly when A1(F2) == S2 = A2(F2).  With one cell both getters are
-    tuple, and both tests compare F2 with itself."""
-    if p1.N != p2.N or p1.H != p2.H:
+    tuple, and both tests compare F2 with itself.  The shared-(N, H) guard
+    compares by identity before FiniteMonoid.__eq__, as sweeps share them."""
+    if (p1.N is not p2.N and p1.N != p2.N) or (p1.H is not p2.H and p1.H != p2.H):
         raise FormatError("pairs do not share the same N and H")
     _, R1, A1, _ = _order_key(p1)
     F2, _, _, S2 = _order_key(p2)

@@ -118,6 +118,18 @@ def naive_is_hom(source: FiniteMonoid, target: FiniteMonoid, map_) -> bool:
     )
 
 
+def reference_hom_violation(source: FiniteMonoid, target: FiniteMonoid, map_):
+    """The first broken hom law as check_hom words it, or None for a hom:
+    the identity first, then f(ab) = f(a)f(b) with a, then b, ascending."""
+    if map_[source.identity] != target.identity:
+        return "hom-identity: %d" % source.identity
+    for a in source.elements:
+        for b in source.elements:
+            if map_[source.mul(a, b)] != target.mul(map_[a], map_[b]):
+                return "hom-mul: %d %d" % (a, b)
+    return None
+
+
 def set_partitions(items):
     """All partitions of a list, as tuples of tuples."""
     items = list(items)
@@ -693,6 +705,11 @@ def _transported(M, p):
         for b in M.elements:
             table[p[a]][p[b]] = p[M.table[a][b]]
     return FiniteMonoid(M.size, p[M.identity], tuple(map(tuple, table)))
+
+
+def fresh(M):
+    """An equal, never-checked instance of M."""
+    return FiniteMonoid(M.size, M.identity, M.table, M.labels)
 
 
 def relabelled(M, rng):

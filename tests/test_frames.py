@@ -6,7 +6,14 @@ from collections import Counter
 
 import pytest
 
-from conftest import reference_check_frame, relabelled
+from conftest import (
+    fresh,
+    naive_is_hom,
+    reference_check_frame,
+    reference_hom_violation,
+    reference_waction_leq,
+    relabelled,
+)
 from wschreier.catalog import (
     all_homs,
     catalog_monoids,
@@ -28,20 +35,18 @@ from wschreier.io import serialize_monoid
 from wschreier.lambda_product import (
     InverseAction,
     artin_like_action,
+    join_hom,
     lambda_action_leq,
     lambda_product,
+    waction_of,
 )
 from wschreier.monoid import FiniteMonoid, MonoidHom, PreconditionError, identity_hom
+from wschreier.waction import DEFAULT_BOUND, enumerate_wactions, waction_leq
 
 
 # the package exports functions named like these modules
 frames_mod = importlib.import_module("wschreier.frames")
 lambda_mod = importlib.import_module("wschreier.lambda_product")
-
-
-def fresh(M):
-    """An equal, never-checked instance of M."""
-    return FiniteMonoid(M.size, M.identity, M.table, M.labels)
 
 
 def counting(monkeypatch, module, name):
@@ -176,6 +181,19 @@ class TestValidateOnce:
         assert glueing_join(MonoidHom(sl2, sl3, (0, 1)), g).map == (0, 2)
         assert len(frame_checks) == 3
 
+    def test_marked_homs_skip_the_frame_lookups(self, monkeypatch, sl2, sl3):
+        f = MonoidHom(fresh(sl2), fresh(sl3), (0, 1))
+        g = MonoidHom(f.source, f.target, (0, 2))
+        assert glueing_join(f, g).map == (0, 2)
+        lookups = counting(monkeypatch, frames_mod, "_frame_data")
+        for _ in range(3):
+            assert glueing_join(f, g).map == (0, 2)
+            assert glueing_join(g, f).map == (0, 2)
+        assert lookups == []
+        # an unmarked hom over the same frames looks both ends up again
+        assert glueing_join(MonoidHom(f.source, f.target, (0, 1)), g).map == (0, 2)
+        assert len(lookups) == 2
+
     def test_failed_hom_check_is_repeated(self, monkeypatch, sl3, sl2):
         f = MonoidHom(sl3, sl2, (0, 1, 0))
         calls = counting(monkeypatch, frames_mod, "_hom_laws")
@@ -301,6 +319,72 @@ class TestGlueingJoin:
     def test_requires_frames(self, c2, sl2):
         with pytest.raises(PreconditionError):
             glueing_join(identity_hom(c2), identity_hom(c2))
+
+
+@pytest.fixture(scope="module")
+def small_frame_pairs():
+    """Every ordered pair (H, N) of the frames of size <= 4 with their homs:
+    the reduced glueing_join workload of the benchmark."""
+    frames = [M for M in commutative_idempotent_monoids(4) if check_frame(M).ok]
+    return [(H, N, all_homs(H, N)) for H in frames for N in frames]
+
+
+class TestJoinOracle:
+    """Each join item of the reduced workload against the brute-force
+    oracles: the pointwise meet, the naive hom test, the pair-loop order and
+    the first broken hom law."""
+
+    def test_joins_and_order_match_the_references(self, small_frame_pairs):
+        homs_seen = items = compared = 0
+        for H, N, homs in small_frame_pairs:
+            homs_seen += len(homs)
+            enum = enumerate_wactions(N, H) if N.size * H.size <= DEFAULT_BOUND else ()
+            wact = {f.map: waction_of(artin_like_action(f)) for f in homs}
+            for f in homs:
+                for g in homs:
+                    j = glueing_join(f, g)
+                    meet = tuple([N.mul(f(h), g(h)) for h in H.elements])
+                    assert type(j.map) is tuple and j.map == meet
+                    assert naive_is_hom(H, N, j.map)
+                    pf, pg, pj = wact[f.map], wact[g.map], wact[j.map]
+                    assert reference_waction_leq(pf, pj) and reference_waction_leq(pg, pj)
+                    checks = [(pf, pj), (pg, pj), (pj, pf), (pj, pg)]
+                    checks += [(q, p) for p in enum for q in (pf, pg, pj)]
+                    for p1, p2 in checks:
+                        assert waction_leq(p1, p2) == reference_waction_leq(p1, p2)
+                    compared += len(checks)
+                    items += 1
+        assert (homs_seen, items, compared) == (145, 1661, 15695)
+
+    def test_non_hom_mutants_of_g_are_refused(self, small_frame_pairs):
+        rng = random.Random(41)
+        refused, meets = Counter(), Counter()
+        for H, N, homs in small_frame_pairs:
+            for f in homs:
+                for g in homs:
+                    h, v = rng.randrange(H.size), rng.randrange(N.size)
+                    m = g.map[:h] + (v,) + g.map[h + 1 :]
+                    first = reference_hom_violation(H, N, m)
+                    if first is None:
+                        continue  # g itself or another hom
+                    bad = MonoidHom(H, N, m)
+                    for _ in range(2):  # a failed check is not kept
+                        with pytest.raises(PreconditionError) as info:
+                            glueing_join(f, bad)
+                        assert str(info.value) == "check_hom failed: " + first
+                    meet = tuple([N.mul(f(x), m[x]) for x in H.elements])
+                    first_meet = reference_hom_violation(H, N, meet)
+                    if first_meet is None:
+                        assert join_hom(f, bad).map == meet
+                    else:
+                        with pytest.raises(PreconditionError) as info:
+                            join_hom(f, bad)
+                        assert str(info.value) == "join_hom failed: " + first_meet
+                    refused[first.split(":")[0]] += 1
+                    meets[first_meet and first_meet.split(":")[0]] += 1
+        # 812 refused and 517 refused meets with this seed
+        assert set(refused) == {"hom-identity", "hom-mul"} and sum(refused.values()) > 500
+        assert set(meets) == {None, "hom-identity", "hom-mul"}
 
 
 class TestDuality:

@@ -7,6 +7,7 @@ import importlib
 import pytest
 
 from conftest import (
+    fresh,
     make_inverse_action,
     naive_inverse_actions,
     reference_inverse_actions,
@@ -33,6 +34,7 @@ from wschreier.monoid import (
     FormatError,
     MonoidHom,
     PreconditionError,
+    check_hom,
     direct_product,
     generating_plan,
     inverse_structure,
@@ -249,6 +251,37 @@ class TestArtinLike:
         g = MonoidHom(sl2, sl2, (0, 1))
         with pytest.raises(FormatError):
             join_hom(f, g)
+
+    def test_join_map_is_a_plain_tuple(self, sl2, sl3):
+        """join_hom hands check_hom a private marker; the hom it returns is
+        the hom built from the same plain tuple."""
+        j = join_hom(MonoidHom(sl2, sl3, (0, 1)), MonoidHom(sl2, sl3, (0, 2)))
+        for plain in (MonoidHom(sl2, sl3, (0, 2)), check_hom(sl2, sl3, [0, 2]).value):
+            assert type(j.map) is type(plain.map) is tuple
+            assert (j == plain, hash(j), repr(j)) == (True, hash(plain), repr(plain))
+
+    @pytest.mark.parametrize("cells, shown", [((0, 3), "3"), ((0, True), "True"), ((-1, 0), "-1")])
+    def test_bad_cells_are_still_refused(self, sl2, sl3, cells, shown):
+        i = 0 if cells[0] != 0 else 1
+        text = "hom image of %d is %s, out of range" % (i, shown)
+        for build in (MonoidHom, check_hom):
+            for map_ in (cells, list(cells)):
+                with pytest.raises(FormatError) as info:
+                    build(sl2, sl3, map_)
+                assert str(info.value) == text
+
+    def test_parallel_check_on_equal_instances(self, sl2, sl3):
+        f = MonoidHom(sl2, sl3, (0, 1))
+        S, T = fresh(sl2), fresh(sl3)
+        for source, target in ((sl2, sl3), (S, T), (S, sl3), (sl2, T)):
+            g = MonoidHom(source, target, (0, 2))
+            assert join_hom(f, g) == join_hom(g, f) == MonoidHom(sl2, sl3, (0, 2))
+        for source, target in ((sl2, sl2), (S, fresh(sl2)), (fresh(sl3), T), (cyclic_group(2), T)):
+            g = MonoidHom(source, target, (0,) * source.size)
+            for args in ((f, g), (g, f)):
+                with pytest.raises(FormatError) as info:
+                    join_hom(*args)
+                assert str(info.value) == "homs are not parallel"
 
     def test_artin_join_is_an_upper_bound(self, sl2, sl3):
         f = MonoidHom(sl2, sl3, (0, 1))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import conftest
 from conftest import (
     blocks_to_classes,
+    fresh,
     naive_admissible,
     naive_compatible,
     naive_wschreier_pairs,
@@ -477,6 +478,34 @@ class TestOrder:
         with pytest.raises(FormatError):
             waction_leq(p1, p2)
 
+    def test_equal_distinct_monoids_give_the_same_verdicts(self, enum_cache, sl3, sl2):
+        pairs = enum_cache.wactions(sl3, sl2)
+        N, H = fresh(sl3), fresh(sl2)
+        copies = [pair_of(N, H, p.E.fibers, p.alpha.act) for p in pairs]
+        holds = 0
+        for p1, c1 in zip(pairs, copies):
+            for p2, c2 in zip(pairs, copies):
+                got = waction_leq(p1, p2)
+                assert waction_leq(p1, c2) == waction_leq(c1, p2) == waction_leq(c1, c2) == got
+                assert got == reference_waction_leq(c1, p2)
+                holds += got
+        assert 0 < holds < len(pairs) ** 2
+
+    def test_mismatch_text_on_distinct_instances(self, sl2, sl3, c2):
+        def discrete(N, H):
+            rows = tuple([tuple(N.elements)] * H.size)
+            return pair_of(N, H, rows, rows)
+
+        p = discrete(sl2, sl2)
+        for N, H in ((fresh(sl3), sl2), (sl2, fresh(sl3)), (fresh(c2), sl2), (sl2, fresh(c2))):
+            for args in ((p, discrete(N, H)), (discrete(N, H), p)):
+                with pytest.raises(FormatError) as info:
+                    waction_leq(*args)
+                assert str(info.value) == "pairs do not share the same N and H"
+                assert conftest.outcome(reference_waction_leq, *args) == (
+                    "FormatError",
+                    str(info.value),
+                )
 
     def test_fibers_refine_one_by_one(self, sl2):
         # fiber 1 of p1 is total and that of p2 discrete, fiber 0 the other
