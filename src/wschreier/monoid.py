@@ -146,8 +146,8 @@ class FiniteMonoid:
     """A monoid on indices 0..size-1 given by its Cayley table.
 
     elements is range(size), computed once; it takes no part in equality,
-    hashing or repr.  frames.check_frame keeps its label-free verdict on the
-    instance the same way.
+    hashing or repr.  inverse_structure and frames.check_frame keep their
+    label-free results on the instance the same way.
     """
 
     size: int
@@ -281,7 +281,24 @@ def inverse_structure(M: FiniteMonoid) -> Verdict:
     ("unique-inverse", (a, b1, b2)) for one with several, and, when inverses
     exist but are ambiguous, ("idempotents-commute", (e, f)) pinpoints a
     non-commuting idempotent pair if there is one.
+
+    The inverse table, or the violations, is derived once per instance and
+    kept on it as _inverse, the way frames.check_frame keeps _frame; it does
+    not depend on the labels and holds no reference to M.  Each call returns
+    a fresh Verdict.
     """
+    try:
+        inv = M._inverse
+    except AttributeError:
+        inv = _inverse_laws(M)
+        object.__setattr__(M, "_inverse", inv)
+    if type(inv[0]) is Violation:
+        return Verdict(None, inv)
+    return Verdict(InverseStructure(M, inv))
+
+
+def _inverse_laws(M: FiniteMonoid) -> tuple:
+    """The inverse table of M, or the tuple of its violations."""
     t = M.table
     violations = []
     inv = []
@@ -300,8 +317,8 @@ def inverse_structure(M: FiniteMonoid) -> Verdict:
         clash = next(((e, f) for e in idem for f in idem if t[e][f] != t[f][e]), None)
         if clash is not None:
             violations.append(Violation("idempotents-commute", clash))
-        return Verdict(None, tuple(violations))
-    return Verdict(InverseStructure(M, tuple(inv)))
+        return tuple(violations)
+    return tuple(inv)
 
 
 @dataclass(frozen=True)

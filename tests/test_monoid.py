@@ -1,12 +1,15 @@
+import gc
 import itertools
 import random
 import re
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_is_hom, naive_is_monoid, relabelled
+import wschreier.monoid as monoid_mod
+from conftest import fresh, naive_is_hom, naive_is_monoid, relabelled
 from wschreier.catalog import (
     catalog_monoids,
     chain_lattice,
@@ -14,6 +17,7 @@ from wschreier.catalog import (
     right_zero_adjoined,
     trivial_monoid,
 )
+from wschreier.lambda_product import artin_like_action
 from wschreier.monoid import (
     Congruence,
     FiniteMonoid,
@@ -169,6 +173,54 @@ class TestInverseStructure:
         c3 = cyclic_group(3)
         inv = inverse_structure(c3).value
         assert inv.inv_of(1) == 2
+
+
+class TestInverseOnce:
+    def test_inverse_table_derived_once_per_instance(self, monkeypatch):
+        real, calls = monoid_mod._inverse_laws, []
+        monkeypatch.setattr(monoid_mod, "_inverse_laws", lambda M: calls.append(M) or real(M))
+        M = fresh(cyclic_group(3))
+        for _ in range(3):
+            assert inverse_structure(M).value.inv == (0, 2, 1)
+        f = identity_hom(fresh(chain_lattice(3)))
+        for _ in range(3):
+            artin_like_action(f)
+        assert len(calls) == 2
+        assert inverse_structure(fresh(M)).ok
+        assert len(calls) == 3
+
+    def test_each_verdict_matches_a_fresh_instance(self):
+        for M in catalog_monoids(3):
+            first, second = inverse_structure(M), inverse_structure(M)
+            assert first == second == inverse_structure(fresh(M))
+            assert first is not second
+            if first.ok:
+                assert first.value is not second.value
+                assert second.value.base is M
+
+    def test_failing_monoid_reports_its_violations_on_every_call(self):
+        M = fresh(right_zero_adjoined(2))
+        want = inverse_structure(fresh(M)).violations
+        for _ in range(3):
+            verdict = inverse_structure(M)
+            assert not verdict.ok and verdict.violations == want
+            with pytest.raises(PreconditionError, match="unique-inverse"):
+                verdict.expect()
+
+    def test_keep_is_invisible_and_makes_no_reference_cycle(self):
+        M = fresh(cyclic_group(3))
+        before = (hash(M), repr(M))
+        inverse_structure(M)
+        assert M == fresh(M) and fresh(M) == M
+        assert (hash(M), repr(M)) == before
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(M)
+            del M
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestHoms:
