@@ -2,10 +2,13 @@
 
 The catalogs are the desk-scale oracles: every monoid of a given order up to
 isomorphism, from a cell search over Cayley tables with the identity pinned
-at 0 (monoid._cell_search), deduplicated via canonical relabelling.
+at 0 (monoid._cell_search), deduplicated via canonical relabelling, and kept
+once per size by functools.cache; a refused size raises on every call.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .monoid import (
     FiniteMonoid,
@@ -174,9 +177,7 @@ def _isomorphism_classes(tables, max_size: int) -> tuple:
     return tuple(out)
 
 
-_monoid_cache: dict = {}
-
-
+@cache
 def catalog_monoids(max_size: int = 4) -> tuple:
     """All monoids of size 1..max_size up to isomorphism, by size then by
     canonical table.  Sizes above 4 are refused: the table search reaches
@@ -184,29 +185,18 @@ def catalog_monoids(max_size: int = 4) -> tuple:
     deduplicating the 4,122 tables of size 5 alone takes about a second."""
     if max_size > 4:
         raise PreconditionError("catalog_monoids is meant for desk scale (size <= 4)")
-    key = max_size
-    if key in _monoid_cache:
-        return _monoid_cache[key]
-    result = _isomorphism_classes(all_monoid_tables, max_size)
-    _monoid_cache[key] = result
-    return result
+    return _isomorphism_classes(all_monoid_tables, max_size)
 
 
-_inverse_cache: dict = {}
-
-
+@cache
 def catalog_inverse_monoids(max_size: int = 4) -> tuple:
     """The inverse monoids of the catalog, paired with their inverse tables."""
-    if max_size in _inverse_cache:
-        return _inverse_cache[max_size]
     out = []
     for M in catalog_monoids(max_size):
         verdict = inverse_structure(M)
         if verdict.ok:
             out.append(verdict.value)
-    result = tuple(out)
-    _inverse_cache[max_size] = result
-    return result
+    return tuple(out)
 
 
 def commutative_idempotent_monoids(max_size: int = 5) -> tuple:

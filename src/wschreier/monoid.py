@@ -608,14 +608,13 @@ def _hom_search(A: FiniteMonoid, mul, choices, injective=False, plan=None):
     phi(a b) = mul(phi(a), phi(b)) for all a, b, whose values at the identity
     and at each generator of A are drawn from choices(x).
 
-    The search backtracks over the stages of A's generating plan: stage 0
-    chooses phi(1), and each later stage chooses one generator's image and
-    derives the products the plan builds from it.  Each law (a, b) is checked
+    The search is _cell_search over the stages of A's generating plan, each
+    a cell of the one-row table [phi]: stage 0 chooses phi(1), each later one
+    a generator's image, and its check derives the products the plan builds
+    from that image and tests its law instances.  Each law (a, b) is checked
     once, at the first stage where phi(a), phi(b) and phi(a b) are all known,
-    and a failure prunes every extension of the assignment; with injective,
-    so does a stage that gives two known elements one value.  plan is A's
-    generating plan, when the caller has already built it.
-    """
+    and a failure prunes every extension; with injective, so does a stage
+    that gives two known elements one value.  plan is A's generating plan."""
     plan = plan or generating_plan(A)[1]
     stages = []  # (x chosen at this stage, [(y, a, b) derived as mul(phi(a), phi(b))])
     stage_of = {}
@@ -633,32 +632,28 @@ def _hom_search(A: FiniteMonoid, mul, choices, injective=False, plan=None):
     phi = [None] * A.size
     known = [[z for z in A.elements if stage_of[z] <= k] for k in range(len(stages))]
 
-    def search(k):
-        if k == len(stages):
-            yield tuple(phi)
-            return
-        x, steps = stages[k]
-        for v in choices(x):
-            phi[x] = v
-            for y, a, b in steps:
-                phi[y] = mul(phi[a], phi[b])
-            if injective and len({phi[z] for z in known[k]}) < len(known[k]):
-                continue
-            for a, b, ab in laws[k]:
-                if phi[ab] != mul(phi[a], phi[b]):
-                    break
-            else:
-                yield from search(k + 1)
+    def check(k, v):
+        for y, a, b in stages[k][1]:
+            phi[y] = mul(phi[a], phi[b])
+        if injective and len({phi[z] for z in known[k]}) < len(known[k]):
+            return False
+        for a, b, ab in laws[k]:
+            if phi[ab] != mul(phi[a], phi[b]):
+                return False
+        return True
 
-    return search(0)
+    cells = [((0, x),) for x, _ in stages]
+    values = [choices(x) for x, _ in stages]
+    return (rows[0] for rows in _cell_search([phi], cells, values, check))
 
 
 def _cell_search(rows, cells, values, check):
     """Yield, depth first, every filling of rows (a list of lists) in which
     cell k, a tuple of positions (r, c), takes a value from values[k] and
-    passes check(k, v): a test of law instances whose reads are all fixed
-    or in cells 0..k, a failure pruning every extension.  With ascending
-    values, fillings come lexicographically in the order of the cells."""
+    passes check(k, v), a test of law instances read from fixed cells and
+    cells 0..k whose failure prunes every extension; ascending values give
+    fillings in lexicographic cell order.  In _hom_search a cell is a stage:
+    check derives the stage's products and tests its law instances."""
 
     def search(k):
         if k == len(cells):

@@ -532,3 +532,29 @@ class TestCokernelRoute:
                 laws.append(verdict.violations[0].law if verdict.violations else "ok")
         assert len(laws) == 63 and laws.count("ok") == 3
         assert {"e-hom-mul", "s-hom-identity", "section", "kernel-image"} <= set(laws)
+
+
+class TestShapeErrors:
+    # Shape errors that no other in-process test reaches, each raised from the
+    # product extension with N the 2-chain and H the 3-chain (|G| = 6).
+    CASES = [
+        pytest.param(
+            lambda ext: replace(ext, e=identity_hom(ext.G)), "e must map G onto H", id="e"
+        ),
+        pytest.param(
+            lambda ext: replace(ext, s=identity_hom(ext.G)), "s must map H into G", id="s"
+        ),
+        pytest.param(
+            lambda ext: SchreierRetraction(ext, (0,)),
+            "retraction has 1 entries, expected 6",
+            id="retraction",
+        ),
+    ]
+
+    @pytest.mark.parametrize("call, message", CASES)
+    def test_message(self, call, message):
+        ext = direct_product_extension(chain_lattice(2), chain_lattice(3))
+        with pytest.raises(FormatError) as info:
+            call(ext)
+        assert type(info.value) is FormatError
+        assert str(info.value) == message

@@ -462,3 +462,38 @@ class TestLineBreaks:
         noise = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
         text = "monoid m 1\r\nidentity 0\rrow 0: 0\n# %srow 1: 0\n" % noise
         assert parse_monoid(text).size == 1
+
+
+class TestShapeErrors:
+    # Shape errors that no other in-process test reaches: (file, loader,
+    # text, line, column, message); sl2.mon and sl3.mon sit beside the file.
+    WACT = "wact p\nN sl2.mon\nH sl2.mon\n"
+    CASES = [
+        ("m.mon", load_monoid, "monoid m 0\nidentity 0\n", 1, 10,
+         "size must be at least 1"),
+        ("f.map", load_hom, "map f\nsource sl2.mon\ntarget sl3.mon\nmap: 0 3\n", 4, 8,
+         "entry 3 out of range 0..2"),
+        ("h.act", load_action, "action a\nN sl2.mon\nH sl2.mon\nact 2 0 -> 0\n", 4, 5,
+         "h = 2 out of range"),
+        ("n.act", load_action, "action a\nN sl2.mon\nH sl2.mon\nact 0 2 -> 0\n", 4, 7,
+         "n = 2 out of range"),
+        ("m.act", load_action, "action a\nN sl2.mon\nH sl2.mon\nact 0 0 -> 2\n", 4, 12,
+         "m = 2 out of range"),
+        ("colon.wact", load_wact_pair, WACT + "fiber 0 {0} {1}\n", 4, 1,
+         "expected 'fiber <h>: {...} ...'"),
+        ("index.wact", load_wact_pair, WACT + "fiber 2: {0} {1}\n", 4, 7,
+         "fiber index 2 out of range"),
+        ("member.wact", load_wact_pair, WACT + "fiber 0: {0} {2}\n", 4, 14,
+         "fiber member 2 out of range"),
+        ("word.wact", load_wact_pair, WACT + "fiber 0: {0} {x}\n", 4, 14,
+         "fiber member must be an integer, got 'x'"),
+    ]
+
+    @pytest.mark.parametrize("name, loader, text, line, col, message", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_message(self, mon_dir, name, loader, text, line, col, message):
+        path = write(mon_dir / name, text)
+        with pytest.raises(ParseError) as info:
+            loader(path)
+        assert (info.value.file, info.value.line, info.value.col) == (path, line, col)
+        assert str(info.value) == "%s:%d:%d: %s" % (path, line, col, message)

@@ -493,3 +493,42 @@ class TestProperties:
         Q, proj = quotient(M, c)
         K, emb = kernel(proj)
         assert is_cokernel(emb, proj)
+
+
+class TestShapeErrors:
+    # Shape errors that no other in-process test reaches, each a FormatError
+    # with its exact message.
+    CASES = [
+        pytest.param(
+            lambda: FiniteMonoid(2, 0, ((0, 1), (1, 1)), ("1",)),
+            "expected 2 labels, got 1",
+            id="labels",
+        ),
+        pytest.param(
+            lambda: compose(identity_hom(chain_lattice(2)), identity_hom(chain_lattice(3))),
+            "composite of non-composable homs",
+            id="compose",
+        ),
+        pytest.param(
+            lambda: Congruence(chain_lattice(3), (0, 0)),
+            "congruence over wrong carrier size",
+            id="congruence-size",
+        ),
+        pytest.param(
+            lambda: quotient(chain_lattice(3), Congruence(chain_lattice(2), (0, 1))),
+            "congruence belongs to a different monoid",
+            id="quotient",
+        ),
+        pytest.param(
+            lambda: is_cokernel(identity_hom(chain_lattice(2)), identity_hom(chain_lattice(3))),
+            "k and e are not composable",
+            id="cokernel",
+        ),
+    ]
+
+    @pytest.mark.parametrize("call, message", CASES)
+    def test_message(self, call, message):
+        with pytest.raises(FormatError) as info:
+            call()
+        assert type(info.value) is FormatError
+        assert str(info.value) == message

@@ -604,3 +604,51 @@ class TestOrder:
                         holds += got
         assert compared == 5978
         assert 0 < holds < compared
+
+
+class TestShapeErrors:
+    # Shape errors that no other in-process test reaches, over N = 3-chain
+    # and H = 2-chain; the action over (2-chain, 2-chain) lives elsewhere.
+    CASES = [
+        pytest.param(
+            lambda N, H: AdmissibleRelation(N, H, ((0, 1, 2),)),
+            "expected one fiber per element of H",
+            id="fiber-count",
+        ),
+        pytest.param(
+            lambda N, H: AdmissibleRelation(N, H, ((0, 1, 2), (0, 1))),
+            "fiber partitions must cover N",
+            id="fiber-length",
+        ),
+        pytest.param(
+            lambda N, H: ActionTable(N, H, ((0, 1, 2),)),
+            "expected one action row per element of H",
+            id="row-count",
+        ),
+        pytest.param(
+            lambda N, H: ActionTable(N, H, ((0, 1, 2), (0, 1))),
+            "action rows must cover N",
+            id="row-length",
+        ),
+        pytest.param(
+            lambda N, H: check_compatible_action(
+                AdmissibleRelation.discrete(N, H), ActionTable(H, H, ((0, 1), (0, 1)))
+            ),
+            "action and relation live over different monoids",
+            id="compatible",
+        ),
+        pytest.param(
+            lambda N, H: WActPair(
+                AdmissibleRelation.discrete(N, H), ActionTable(H, H, ((0, 1), (0, 1)))
+            ),
+            "relation and action live over different monoids",
+            id="pair",
+        ),
+    ]
+
+    @pytest.mark.parametrize("call, message", CASES)
+    def test_message(self, sl3, sl2, call, message):
+        with pytest.raises(FormatError) as info:
+            call(sl3, sl2)
+        assert type(info.value) is FormatError
+        assert str(info.value) == message
