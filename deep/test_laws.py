@@ -11,6 +11,7 @@ from functools import partial
 import pytest
 
 import tests.conftest as oracle
+from wschreier.catalog import chain_lattice
 from wschreier.extension import _extension_on_carrier, verify_split_extension
 from wschreier.frames import _frame_laws
 from wschreier.monoid import MonoidHom, check_monoid, congruence_closure
@@ -66,8 +67,9 @@ def test_closure(draws, lambdas):
 
 
 def test_generators(draws, lambdas, glued):
-    """The builder on each table, on seeded one-cell mutants and on one that
-    breaks k(n) * s(h); the verifier on one-cell mutants of e; the frame
+    """The builder on each table, on seeded one-cell mutants, on one that
+    breaks k(n) * s(h) and on one unfactored table that is associative at
+    every generator middle; the verifier on one-cell mutants of e; the frame
     laws of each glued frame."""
     rng = random.Random()
     rng.setstate(draws[2])
@@ -91,8 +93,15 @@ def test_generators(draws, lambdas, glued):
     # tables checked in full, factored with a broken law (the rerun), factored monoids
     unfactored = paths[False, False] + paths[False, True]
     assert (unfactored, paths[True, False], paths[True, True]) == (7086, 10459, 5981)
-    assert len(build) + len(verify) + len(frames) == 36383
+    # no seeded table is unfactored, non-associative and associative at the
+    # middles k(N) ∪ s(H) = {0, 1, 2}; in this one every failure has middle 3
+    N = H = chain_lattice(2)
+    carrier = [(n, h) for h in H.elements for n in N.elements]
+    table = ((0, 1, 2, 3), (1, 1, 1, 1), (2, 1, 2, 1), (3, 1, 1, 0))
+    products = [[carrier[x] for x in row] for row in table]
+    build.append((N, H, carrier, products, [carrier[0], carrier[2]], "unfactored"))
+    assert len(build) + len(verify) + len(frames) == 36384
     new = partial(oracle.outcome, _extension_on_carrier)
-    agree(new, partial(oracle.full_path_outcome, _extension_on_carrier), build, 23526)
+    agree(new, partial(oracle.full_path_outcome, _extension_on_carrier), build, 23527)
     agree(verify_split_extension, oracle.reference_verify_split_extension, verify, 11764)
     agree(_frame_laws, lambda M, gens: _frame_laws(M), frames, 1093)

@@ -63,42 +63,18 @@ def chain_lattice(k: int) -> FiniteMonoid:
     return FiniteMonoid(k, 0, table, labels)
 
 
-def _meet_monoid_from_leq(leq, labels):
-    """Build the meet monoid of a poset given as a leq matrix.  Every pair is
-    assumed to have a meet (greatest common lower bound)."""
-    n = len(leq)
-    table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            lower = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            meets = [c for c in lower if all(leq[d][c] for d in lower)]
-            if len(meets) != 1:
-                raise ValueError("poset lacks a meet for (%d,%d)" % (a, b))
-            row.append(meets[0])
-        table.append(tuple(row))
-    top = [a for a in range(n) if all(leq[b][a] for b in range(n))]
-    return FiniteMonoid(n, top[0], tuple(table), labels)
-
-
 def diamond_lattice() -> FiniteMonoid:
     """Four elements: top, two incomparable middles, bottom (the 2x2 Boolean
-    lattice)."""
-    order = {(0, 0), (1, 1), (2, 2), (3, 3), (3, 1), (3, 2), (3, 0), (1, 0), (2, 0)}
-    leq = [[(a, b) in order for b in range(4)] for a in range(4)]
-    return _meet_monoid_from_leq(leq, ("1", "x", "y", "0"))
+    lattice).  The product of two elements is their meet."""
+    table = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
+    return FiniteMonoid(4, 0, table, ("1", "x", "y", "0"))
 
 
 def m3_lattice() -> FiniteMonoid:
     """Five elements: top, three pairwise incomparable middles, bottom.  A
-    lattice but not distributive."""
-    n = 5
-    leq = [[False] * n for _ in range(n)]
-    for a in range(n):
-        leq[a][a] = True
-        leq[a][0] = True
-        leq[4][a] = True
-    return _meet_monoid_from_leq(leq, ("1", "x", "y", "z", "0"))
+    lattice but not distributive.  The product of two elements is their meet."""
+    table = ((0, 1, 2, 3, 4), (1, 1, 4, 4, 4), (2, 4, 2, 4, 4), (3, 4, 4, 3, 4), (4,) * 5)
+    return FiniteMonoid(5, 0, table, ("1", "x", "y", "z", "0"))
 
 
 def right_zero_adjoined(k: int = 2) -> FiniteMonoid:

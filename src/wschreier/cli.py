@@ -246,6 +246,7 @@ def cmd_join(args) -> int:
         bad = [h for h in m.source.elements if m.map[h] not in allowed]
         if bad:
             raise _Refusal("central-idempotent %s: no" % name, "violation image: %s" % bad[0])
+    _inverse_pair(f.target, f.source)  # the Artin-like action below needs both inverse
     joined = join_hom(f, g)
     print("join: valid")
     print("map: %s" % " ".join(str(v) for v in joined.map))

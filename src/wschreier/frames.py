@@ -142,13 +142,6 @@ def check_frame(M: FiniteMonoid) -> Verdict:
     return Verdict(FiniteFrame(M, *data))
 
 
-def _require_frame(M: FiniteMonoid, what: str):
-    data = _frame_data(M)
-    if isinstance(data, Violation):
-        Verdict(None, (data,)).expect(what)
-    return data
-
-
 def _require_frames(f: MonoidHom):
     """The frame data of f.target, once both ends are frames and f is a
     monoid hom (PreconditionError otherwise).  A passed hom check is kept
@@ -156,11 +149,11 @@ def _require_frames(f: MonoidHom):
     data kept on its target at once; a failed check is repeated on every call."""
     if getattr(f, "_meet_hom", False):
         return f.target._frame
-    _require_frame(f.source, "check_frame(source)")
-    target = _require_frame(f.target, "check_frame(target)")
+    check_frame(f.source).expect("check_frame(source)")
+    check_frame(f.target).expect("check_frame(target)")
     _hom_laws(f).expect("check_hom")
     object.__setattr__(f, "_meet_hom", True)
-    return target
+    return f.target._frame
 
 
 def _glueing(f: MonoidHom):

@@ -129,6 +129,18 @@ def _int(lines, token, lineno, what):
         lines.error("%s must be an integer, got %r" % (what, text), lineno, col)
 
 
+def _in_range(lines, v, bound, message, lineno, col):
+    """v, which must lie in 0..bound-1; message.format(v, bound - 1) otherwise."""
+    if not 0 <= v < bound:
+        lines.error(message.format(v, bound - 1), lineno, col)
+    return v
+
+
+def _index(lines, token, lineno, what, bound, message):
+    """The integer of a token, an index in 0..bound-1 (see _in_range)."""
+    return _in_range(lines, _int(lines, token, lineno, what), bound, message, lineno, token[1])
+
+
 def _keyword(lines, rec, word):
     lineno, tokens, _ = rec
     if not tokens or tokens[0][0] != word:
@@ -151,9 +163,8 @@ def parse_monoid(text: str, file: str = "<input>", validate: bool = True) -> Fin
     lineno, tokens = _keyword(lines, lines.next("identity line"), "identity")
     if len(tokens) != 2:
         lines.error("expected 'identity <index>'", lineno, tokens[0][1])
-    identity = _int(lines, tokens[1], lineno, "identity")
-    if not 0 <= identity < size:
-        lines.error("identity %d out of range 0..%d" % (identity, size - 1), lineno, tokens[1][1])
+    identity = _index(lines, tokens[1], lineno, "identity", size, "identity {} out of range 0..{}")
+    message = "entry {} out of range 0..{}"
     table = []
     for i in range(size):
         lineno, tokens = _keyword(lines, lines.next("row %d" % i), "row")
@@ -169,12 +180,7 @@ def parse_monoid(text: str, file: str = "<input>", validate: bool = True) -> Fin
                 lineno,
                 tokens[1][1],
             )
-        row = []
-        for tok in entries:
-            v = _int(lines, tok, lineno, "table entry")
-            if not 0 <= v < size:
-                lines.error("entry %d out of range 0..%d" % (v, size - 1), lineno, tok[1])
-            row.append(v)
+        row = [_index(lines, t, lineno, "table entry", size, message) for t in entries]
         table.append(tuple(row))
     labels = None
     if lines.pos < len(lines.records) and lines.records[lines.pos][1][0][0] == "labels:":
@@ -239,13 +245,8 @@ def _map_line(lines, rec, word, size, bound):
             lineno,
             tokens[0][1],
         )
-    values = []
-    for tok in entries:
-        v = _int(lines, tok, lineno, "map entry")
-        if not 0 <= v < bound:
-            lines.error("entry %d out of range 0..%d" % (v, bound - 1), lineno, tok[1])
-        values.append(v)
-    return tuple(values)
+    message = "entry {} out of range 0..{}"
+    return tuple([_index(lines, t, lineno, "map entry", bound, message) for t in entries])
 
 
 def load_hom(path: str, validate: bool = True) -> MonoidHom:
@@ -288,12 +289,9 @@ def _act_lines(lines, N, H, word="act"):
         h = _int(lines, tokens[1], lineno, "h")
         n = _int(lines, tokens[2], lineno, "n")
         m = _int(lines, tokens[4], lineno, "m")
-        if not 0 <= h < H.size:
-            lines.error("h = %d out of range" % h, lineno, tokens[1][1])
-        if not 0 <= n < N.size:
-            lines.error("n = %d out of range" % n, lineno, tokens[2][1])
-        if not 0 <= m < N.size:
-            lines.error("m = %d out of range" % m, lineno, tokens[4][1])
+        _in_range(lines, h, H.size, "h = {} out of range", lineno, tokens[1][1])
+        _in_range(lines, n, N.size, "n = {} out of range", lineno, tokens[2][1])
+        _in_range(lines, m, N.size, "m = {} out of range", lineno, tokens[4][1])
         if table[h][n] is not None:
             lines.error("duplicate entry for (%d, %d)" % (h, n), lineno, tokens[1][1])
         table[h][n] = m
@@ -361,13 +359,13 @@ def load_wact_pair(path: str) -> WActPair:
     N, _ = _reference(lines, lines.next("N"), "N", base)
     H, _ = _reference(lines, lines.next("H"), "H", base)
     fibers = [None] * H.size
+    message = "fiber member {} out of range"
     for _ in range(H.size):
         lineno, tokens = _keyword(lines, lines.next("fiber line"), "fiber")
         if len(tokens) < 2 or not tokens[1][0].endswith(":"):
             lines.error("expected 'fiber <h>: {...} ...'", lineno, tokens[0][1])
-        h = _int(lines, (tokens[1][0][:-1], tokens[1][1]), lineno, "fiber index")
-        if not 0 <= h < H.size:
-            lines.error("fiber index %d out of range" % h, lineno, tokens[1][1])
+        index = (tokens[1][0][:-1], tokens[1][1])
+        h = _index(lines, index, lineno, "fiber index", H.size, "fiber index {} out of range")
         if fibers[h] is not None:
             lines.error("duplicate fiber %d" % h, lineno, tokens[1][1])
         ids = [None] * N.size
@@ -377,20 +375,12 @@ def load_wact_pair(path: str) -> WActPair:
             while word.startswith("{"):
                 block += 1
                 word = word[1:]
-            closes = 0
-            while word.endswith("}"):
-                closes += 1
-                word = word[:-1]
+            word = word.rstrip("}")
             if word == "":
                 lines.error("empty token in fiber", lineno, col)
             if block < 0:
                 lines.error("fiber members must be inside {...}", lineno, col)
-            try:
-                n = int(word)
-            except ValueError:
-                lines.error("fiber member must be an integer, got %r" % word, lineno, col)
-            if not 0 <= n < N.size:
-                lines.error("fiber member %d out of range" % n, lineno, col)
+            n = _index(lines, (word, col), lineno, "fiber member", N.size, message)
             if ids[n] is not None:
                 lines.error("element %d listed twice in fiber %d" % (n, h), lineno, col)
             ids[n] = block

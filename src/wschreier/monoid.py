@@ -673,7 +673,8 @@ def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
 
     Each element's image is limited to the elements with its cheap
     invariants, and the hom search shared with all_homs, kept injective,
-    stops at its first hom, a bijection.  Practical into the low tens.
+    stops at its first hom; the answer is whether that map is a bijection,
+    so it does not rest on the pruning.  Practical into the low tens.
     """
     if A.size != B.size:
         return False
@@ -683,7 +684,8 @@ def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
         return False
     # a fingerprint marks the identity, so only B's identity matches A's
     choices = [[y for y in B.elements if fpb[y] == fpa[x]] for x in A.elements]
-    return next(_hom_search(A, B.mul, choices.__getitem__, injective=True), None) is not None
+    phi = next(_hom_search(A, B.mul, choices.__getitem__, injective=True), ())
+    return len(set(phi)) == A.size
 
 
 def canonical_form(M: FiniteMonoid) -> tuple:

@@ -463,7 +463,7 @@ class TestRefusals:
     tests reach only through a substring, or not at all."""
 
     @pytest.fixture()
-    def d(self, files, sl2, sl3):
+    def d(self, files, sl2, sl3, c2):
         def w(name, text):
             (files / name).write_text(text, encoding="utf-8")
 
@@ -486,11 +486,18 @@ class TestRefusals:
         w("nosection.ext", serialize_extension(nosection, "sl2.mon", "G.mon", "sl2.mon", "ns"))
         w("nonhom.map", serialize_hom(MonoidHom(sl2, sl3, (1, 1)), "sl2.mon", "sl3.mon", "n"))
         w("id2.map", serialize_hom(MonoidHom(sl2, sl2, (0, 1)), "sl2.mon", "sl2.mon", "i"))
+        zero = MonoidHom(c2, right_zero_adjoined(2), (0, 0))
+        w("c2rz.map", serialize_hom(zero, "c2.mon", "rz.mon", "z"))  # rz is not inverse
         return files
 
     def test_compare_wacts(self, d, capsys):
         out = "a<=b: yes\nb<=a: yes\nequivalent: yes\n"
         assert invoke(capsys, "compare", str(d / "ok.wact"), str(d / "ok.wact")) == (0, out)
+
+    def test_compare_non_inverse_action(self, d, capsys):
+        path = str(d / "rz.act")
+        out = "inverse: no (%s)\n" % path
+        assert invoke(capsys, "compare", path, str(d / "ok.wact")) == (1, out)
 
     def test_compare_inadmissible_wact(self, d, capsys):
         path = str(d / "noadm.wact")
@@ -552,6 +559,7 @@ class TestRefusals:
                 ("join", "rzmap.map", "rzmap.map"),
                 "central-idempotent f: no\nviolation image: 1\n",
             ),
+            (("join", "c2rz.map", "c2rz.map"), "inverse N: no\nviolation unique-inverse: 1 1 2\n"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
     )

@@ -175,6 +175,9 @@ class TestRetraction:
         qs = sorted(r.q for r in rs)
         assert qs == [(0, 1, 0), (0, 1, 1)]
 
+    def test_all_retractions_of_a_non_weakly_schreier_extension(self, diagonal_section):
+        assert all_retractions(diagonal_section) == ()
+
     def test_all_retractions_limit(self, glued_chain):
         with pytest.raises(ValueError):
             list(all_retractions(glued_chain, limit=1))

@@ -24,6 +24,7 @@ from wschreier.monoid import (
     FormatError,
     MonoidHom,
     PreconditionError,
+    Violation,
     are_isomorphic,
     canonical_form,
     center,
@@ -98,6 +99,12 @@ class TestCheckMonoid:
             )
             verdict = check_monoid(table, 0)
             assert verdict.ok == naive_is_monoid(table, 0)
+
+
+class TestViolation:
+    def test_str_names_the_law_then_its_witness(self):
+        assert str(Violation("cokernel")) == "cokernel"
+        assert str(Violation("associativity", (2, 3, 3))) == "associativity: 2 3 3"
 
 
 class TestFiniteMonoid:
@@ -279,6 +286,10 @@ class TestCongruence:
         # {1, 0} | {a} is not multiplication stable: 1*a=a but 0*a=0
         assert not is_congruence(sl3, (0, 1, 0))
 
+    def test_is_congruence_rejects_a_class_list_of_the_wrong_length(self, sl3):
+        assert is_congruence(sl3, (0, 0)) is False
+        assert is_congruence(sl3, (0, 0, 0, 0)) is False
+
     def test_quotient_collapses_classes(self, sl3):
         c = congruence_closure(sl3, [(1, 2)])
         Q, proj = quotient(sl3, c)
@@ -391,6 +402,10 @@ class TestIsomorphism:
         M = FiniteMonoid(3, 0, table, None)
         assert are_isomorphic(sl3, M)
         assert canonical_form(sl3) == canonical_form(M)
+
+    def test_different_sizes_are_not_isomorphic(self, sl3):
+        assert are_isomorphic(sl3, chain_lattice(4)) is False
+        assert are_isomorphic(chain_lattice(4), sl3) is False
 
     def test_distinguishes_chain_from_group(self, sl3):
         assert not are_isomorphic(sl3, cyclic_group(3))
