@@ -5,113 +5,16 @@ Cayley tables: verification of the weakly Schreier condition, the
 correspondence with admissible-relation/compatible-action pairs, lambda
 semidirect products of inverse monoids, Artin-like actions and their joins,
 and Artin glueings of finite frames.
+
+The package re-exports each library module's ``__all__``.
 """
 
-from .monoid import (
-    BoundExceeded,
-    Congruence,
-    ConsistencyError,
-    FiniteMonoid,
-    FormatError,
-    InverseStructure,
-    MonoidHom,
-    PreconditionError,
-    Verdict,
-    Violation,
-    are_isomorphic,
-    canonical_form,
-    center,
-    check_hom,
-    check_monoid,
-    compose,
-    congruence_closure,
-    direct_product,
-    idempotents,
-    identity_hom,
-    image,
-    inverse_structure,
-    is_cokernel,
-    is_congruence,
-    kernel,
-    quotient,
-    submonoid,
-    zero_hom,
-)
-from .catalog import (
-    all_homs,
-    catalog_inverse_monoids,
-    catalog_monoids,
-    central_idempotent_homs,
-    chain_lattice,
-    commutative_idempotent_monoids,
-    cyclic_group,
-    diamond_lattice,
-    m3_lattice,
-    right_zero_adjoined,
-    trivial_monoid,
-)
-from .extension import (
-    SchreierRetraction,
-    SplitExtension,
-    all_retractions,
-    direct_product_extension,
-    extension_morphism,
-    extensions_equivalent,
-    find_retraction,
-    retraction_candidates,
-    verify_split_extension,
-)
-from .waction import (
-    DEFAULT_BOUND,
-    ActionTable,
-    AdmissibleRelation,
-    WActPair,
-    action_signature,
-    actions_equivalent,
-    admissible_relations,
-    build_extension,
-    check_admissible,
-    check_compatible_action,
-    compatible_actions,
-    enumerate_wactions,
-    extract_waction,
-    waction_leq,
-)
-from .lambda_product import (
-    InverseAction,
-    LambdaProduct,
-    artin_join,
-    artin_like_action,
-    canonical_multiplication,
-    canonicalize,
-    check_inverse_action,
-    enumerate_inverse_actions,
-    join_hom,
-    lambda_action_leq,
-    lambda_product,
-    semigroup_endomorphisms,
-    waction_of,
-)
-from .frames import (
-    FiniteFrame,
-    artin_glueing,
-    check_frame,
-    glueing_equals_lambda,
-    glueing_join,
-)
-from .io import (
-    ParseError,
-    load_action,
-    load_extension,
-    load_hom,
-    load_monoid,
-    load_wact_pair,
-    parse_monoid,
-    serialize_action,
-    serialize_extension,
-    serialize_hom,
-    serialize_monoid,
-    serialize_wact_pair,
-)
+from .monoid import *
+from .catalog import *
+from .extension import *
+from .waction import *
+from .lambda_product import *
+from .frames import *
+from .io import *
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ Extension file (.ext):       Pair file (.wact):
 
 A line ends at \\n, \\r\\n or \\r and nowhere else: \\v, \\f, \\x1c-\\x1e, \\x85
 and U+2028/U+2029 stay inside their line.  Tokens are separated by spaces.
+An index is written as an optional - and ASCII digits.
 A line that is blank, or whose first non-blank character is #, is a
 comment.  A reference path runs from its first token to the end of its
 line, less surrounding whitespace, so it may hold spaces and #.
@@ -122,11 +123,16 @@ class _Lines:
 
 
 def _int(lines, token, lineno, what):
+    """The integer of a token: an optional - and ASCII digits, inside the
+    whitespace that int() ignores (no +, _ or other digits)."""
     text, col = token
+    digits = text.strip().lstrip("-")
     try:
-        return int(text)
+        if digits.isascii() and digits.isdigit():
+            return int(text)
     except ValueError:
-        lines.error("%s must be an integer, got %r" % (what, text), lineno, col)
+        pass
+    lines.error("%s must be an integer, got %r" % (what, text), lineno, col)
 
 
 def _in_range(lines, v, bound, message, lineno, col):

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from wschreier import frames as frames_mod, waction as waction_mod
 from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
 from wschreier.extension import _extension_on_carrier, direct_product_extension
 from wschreier.frames import FiniteFrame
@@ -847,6 +848,29 @@ class _EnumerationCache:
 @pytest.fixture(scope="session")
 def enum_cache():
     return _EnumerationCache()
+
+
+# ---------------------------------------------------------------------------
+# broken builders: the ConsistencyError sites that correct code never reaches
+
+
+@pytest.fixture()
+def broken_frame_laws(monkeypatch):
+    """frames._frame_laws finds distributive: 0 1 2 whenever it is given
+    generators, which only the glueing carrier's check passes."""
+    laws = frames_mod._frame_laws
+
+    def broken(M, gens=None):
+        return laws(M) if gens is None else Violation("distributive", (0, 1, 2))
+
+    monkeypatch.setattr(frames_mod, "_frame_laws", broken)
+
+
+@pytest.fixture()
+def broken_compatibility(monkeypatch):
+    """waction.check_compatible_action fails every table with action-mul: 0 0 0."""
+    verdict = Verdict(None, (Violation("action-mul", (0, 0, 0)),))
+    monkeypatch.setattr(waction_mod, "check_compatible_action", lambda E, a: verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from conftest import assert_dag_transitively_reduced, parse_dot
 from wschreier import io
 from wschreier.catalog import chain_lattice, right_zero_adjoined
 from wschreier.cli import run
-from wschreier.extension import SplitExtension, verify_split_extension
+from wschreier.extension import SplitExtension, direct_product_extension, verify_split_extension
 from wschreier.io import (
     load_wact_pair,
     serialize_action,
@@ -409,6 +409,30 @@ class TestEnumerate:
             capsys, "enumerate", str(files / "sl2.mon"), str(files / "sl2.mon")
         )
         assert code == 2
+
+
+class TestInternalErrors:
+    # a ConsistencyError that only a broken builder raises (the conftest
+    # fixtures patch one in) exits 3 with "error: internal: ..." last
+    def test_glue(self, files, capsys, broken_frame_laws):
+        code, out = invoke(capsys, "glue", str(files / "f.map"))
+        assert code == 3
+        assert out == ("frames: yes\nmeet-hom: yes\nerror: internal: "
+                       "glueing carrier fails frame laws: distributive: 0 1 2\n")
+
+    def test_extract(self, files, capsys, sl2, broken_compatibility):
+        prod = direct_product_extension(sl2, sl2)
+        text = serialize_extension(prod, "sl2.mon", "G.mon", "sl2.mon", "prod")
+        (files / "prod.ext").write_text(text, encoding="utf-8")
+        code, out = invoke(capsys, "extract", str(files / "prod.ext"))
+        assert code == 3
+        assert out == ("extension: valid\nweakly-schreier: yes\nschreier: yes\nerror: internal: "
+                       "extracted pair fails validation: action-mul: 0 0 0\n")
+
+    def test_enumerate(self, files, capsys, broken_compatibility):
+        code, out = invoke(capsys, "enumerate", str(files / "sl2.mon"), str(files / "sl2.mon"))
+        assert code == 3
+        assert out == "error: internal: table fails compatibility: action-mul: 0 0 0\n"
 
 
 class TestPoset:

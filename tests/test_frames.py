@@ -40,7 +40,13 @@ from wschreier.lambda_product import (
     lambda_product,
     waction_of,
 )
-from wschreier.monoid import FiniteMonoid, MonoidHom, PreconditionError, identity_hom
+from wschreier.monoid import (
+    ConsistencyError,
+    FiniteMonoid,
+    MonoidHom,
+    PreconditionError,
+    identity_hom,
+)
 from wschreier.waction import DEFAULT_BOUND, enumerate_wactions, waction_leq
 
 
@@ -268,6 +274,11 @@ class TestArtinGlueing:
         # f(a * 0) = f(0) = top but f(a) * f(0) = bottom
         with pytest.raises(PreconditionError):
             artin_glueing(MonoidHom(sl3, sl2, (0, 1, 0)))
+
+    def test_carrier_failing_frame_laws_is_internal(self, sl2, sl3, broken_frame_laws):
+        message = "^glueing carrier fails frame laws: distributive: 0 1 2$"
+        with pytest.raises(ConsistencyError, match=message):
+            artin_glueing(MonoidHom(sl2, sl3, (0, 1)))
 
 
 class TestGlueingEqualsLambda:

@@ -487,6 +487,15 @@ class TestShapeErrors:
          "fiber member 2 out of range"),
         ("word.wact", load_wact_pair, WACT + "fiber 0: {0} {x}\n", 4, 14,
          "fiber member must be an integer, got 'x'"),
+        # an index is an optional - and ASCII digits, not any literal int() reads
+        ("plus.mon", load_monoid, "monoid a +2\n", 1, 10,
+         "size must be an integer, got '+2'"),
+        ("plus_identity.mon", load_monoid, "monoid a 2\nidentity +0\n", 2, 10,
+         "identity must be an integer, got '+0'"),
+        ("underscore.mon", load_monoid, "monoid a 2\nidentity 0\nrow 0: 0 1_0\n", 3, 10,
+         "table entry must be an integer, got '1_0'"),
+        ("arabic.mon", load_monoid, "monoid a 2\nidentity 0\nrow 0: 0 1\nrow 1: ١ ١\n",
+         4, 8, "table entry must be an integer, got '١'"),
     ]
 
     @pytest.mark.parametrize("name, loader, text, line, col, message", CASES,

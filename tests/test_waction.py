@@ -48,6 +48,7 @@ from wschreier.monoid import (
     FormatError,
     PreconditionError,
     Verdict,
+    Violation,
 )
 from wschreier.waction import (
     DEFAULT_BOUND,
@@ -186,6 +187,64 @@ class TestCompatibleAction:
         assert not actions_equivalent(discrete, a, b)
 
 
+# Cayley tables with identity 0: C2, the 2-chain, C2 with a zero adjoined, and
+# two left zeros with an identity adjoined
+C2, CHAIN2 = ((0, 1), (1, 0)), ((0, 1), (1, 1))
+C2_ZERO, LZ3 = ((0, 1, 2), (1, 0, 2), (2, 2, 2)), ((0, 1, 2), (1, 1, 1), (2, 2, 2))
+
+
+class TestSingleLawWitnesses:
+    # (law, N's table, H's table, E.fibers, act, the checker's witness): an
+    # admissible E and an action that break this law of check_compatible_action
+    # and no other.  Found by brute force over the pairs of catalog_monoids(3)
+    # with |N|*|H| <= 6, their admissible relations and every action table.
+    CASES = [
+        ("action-unit-n", CHAIN2, CHAIN2, ((0, 1), (0, 1)), ((0, 1), (1, 1)), (1,)),
+        ("action-unit-h", C2, ((0,),), ((0, 1),), ((0, 0),), (1,)),
+        ("action-mul", C2_ZERO, C2, ((0, 1, 2), (0, 1, 2)), ((0, 1, 2), (0, 2, 1)),
+         (1, 1, 1)),
+        ("action-assoc", C2, C2, ((0, 1), (0, 1)), ((0, 1), (0, 0)), (1, 1, 1)),
+        ("action-congruence-left", LZ3, CHAIN2, ((0, 1, 2), (0, 0, 1)),
+         ((0, 1, 2), (0, 1, 2)), (1, 0, 1, 2)),
+        ("action-congruence-right", C2, LZ3, ((0, 1), (0, 0), (0, 1)),
+         ((0, 1), (0, 1), (0, 1)), (2, 1, 0, 1)),
+    ]
+
+    @staticmethod
+    def broken_laws(N, H, fibers, a):
+        """The laws that fail, each stated on its own over every instance."""
+        hs, ns, mn, mh = H.elements, N.elements, N.mul, H.mul
+
+        def rel(h, x, y):
+            return fibers[h][x] == fibers[h][y]
+
+        holds = {
+            "action-unit-n": all(rel(h, a[h][N.identity], N.identity) for h in hs),
+            "action-unit-h": all(rel(H.identity, a[H.identity][n], n) for n in ns),
+            "action-mul": all(rel(h, a[h][mn(n, m)], mn(a[h][n], a[h][m]))
+                              for h in hs for n in ns for m in ns),
+            "action-assoc": all(rel(mh(h, g), a[mh(h, g)][n], a[h][a[g][n]])
+                                for h in hs for g in hs for n in ns),
+            "action-congruence-left": all(rel(h, mn(x, a[h][n]), mn(y, a[h][n]))
+                                          for h in hs for x in ns for y in ns
+                                          if rel(h, x, y) for n in ns),
+            "action-congruence-right": all(rel(mh(h, g), a[h][x], a[h][y])
+                                           for g in hs for x in ns for y in ns
+                                           if rel(g, x, y) for h in hs),
+        }
+        return {law for law, ok in holds.items() if not ok}
+
+    @pytest.mark.parametrize("law, n_table, h_table, fibers, act, witness", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_law_fails_alone(self, law, n_table, h_table, fibers, act, witness):
+        N, H = (FiniteMonoid(len(t), 0, t) for t in (n_table, h_table))
+        E = AdmissibleRelation(N, H, fibers)
+        assert check_admissible(E).ok
+        verdict = check_compatible_action(E, ActionTable(N, H, act))
+        assert verdict.violations == (Violation(law, witness),)
+        assert self.broken_laws(N, H, E.fibers, act) == {law}
+
+
 class TestBuildExtension:
     def test_collapse_pair_builds_four_element_carrier(
         self, sl3, sl2, collapse_E, alpha_a
@@ -233,6 +292,12 @@ class TestBuildExtension:
         r = find_retraction(a).value
         with pytest.raises(FormatError):
             extract_waction(b, r)
+
+    def test_extracted_pair_failing_validation_is_internal(self, sl2, broken_compatibility):
+        prod = verify_split_extension(direct_product_extension(sl2, sl2)).value
+        message = "^extracted pair fails validation: action-mul: 0 0 0$"
+        with pytest.raises(ConsistencyError, match=message):
+            extract_waction(prod, find_retraction(prod).value)
 
     @staticmethod
     def exact(ext):
@@ -367,6 +432,11 @@ class TestEnumeration:
             (p.E.fibers, action_signature(p.E, p.alpha)) for p in pairs
         }
         assert keys == naive_wschreier_pairs(N, H)
+
+    def test_table_failing_compatibility_is_internal(self, sl2, broken_compatibility):
+        message = "^table fails compatibility: action-mul: 0 0 0$"
+        with pytest.raises(ConsistencyError, match=message):
+            next(compatible_actions(AdmissibleRelation.discrete(sl2, sl2)))
 
     def test_admissible_relations_complete(self, sl3, sl2):
         found = {E.fibers for E in admissible_relations(sl3, sl2)}
