@@ -23,6 +23,14 @@ through the WSCHREIER_BOUND environment variable.  It caps the relation/action
 enumeration only: enumerate, enumerate --wactions and poset.  enumerate
 --actions is capped instead by the candidate estimate of
 enumerate_inverse_actions.
+
+A verb imports only the library modules it calls, once its input files are
+loaded.  check and inverse need monoid and io alone, and so does any verb
+whose input the loader refuses.  extract, enumerate [--wactions] and poset
+add extension and waction; lambda, join and enumerate --actions add
+lambda_product to those; glue and check --as-frame add frames to those.
+compare adds what its inputs need: extension for an .ext, waction for a
+.wact, and lambda_product for an .act.  No verb loads catalog.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
 from .monoid import (
     BoundExceeded,
@@ -42,37 +51,46 @@ from .monoid import (
     idempotents,
     inverse_structure,
 )
-from .extension import find_retraction, extension_morphism, verify_split_extension
-from .waction import (
-    DEFAULT_BOUND,
-    build_extension,
-    check_admissible,
-    check_compatible_action,
-    enumerate_wactions,
-    extract_waction,
-    waction_leq,
-)
-from .lambda_product import (
-    artin_like_action,
-    check_inverse_action,
-    enumerate_inverse_actions,
-    join_hom,
-    lambda_product,
-)
-from .frames import artin_glueing, check_frame
-from . import io as wio
+import wschreier.io as wio  # "from . import io" would ask the lazy package for io
 
 __all__ = ["main", "run", "emit_dot"]
+
+# The module of each library name the verbs call from beyond monoid and io.
+# A verb imports these names from this module (see __getattr__) once its
+# inputs are loaded, so a run imports only the modules its verb calls.
+_HOME = {
+    name: module
+    for module, names in (
+        ("extension", "extension_morphism find_retraction verify_split_extension"),
+        ("waction", "DEFAULT_BOUND build_extension check_admissible check_compatible_action"
+                    " enumerate_wactions extract_waction waction_leq"),
+        ("lambda_product", "artin_like_action check_inverse_action enumerate_inverse_actions"
+                           " join_hom lambda_product"),
+        ("frames", "artin_glueing check_frame"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name):
+    """A name of _HOME, read from its module at each access and never kept
+    here, so a verb that imports it from this module sees a rebinding of
+    the name here or in its module."""
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + _HOME[name], __package__), name)
 
 
 def _bound() -> int:
     raw = os.environ.get("WSCHREIER_BOUND", "")
     if raw.strip() == "":
+        from .cli import DEFAULT_BOUND
+
         return DEFAULT_BOUND
-    try:
-        return int(raw)
-    except ValueError:
+    bound = wio._integer(raw)
+    if bound is None:
         raise FormatError("WSCHREIER_BOUND must be an integer, got %r" % raw)
+    return bound
 
 
 class _Refusal(Exception):
@@ -109,6 +127,8 @@ def cmd_check(args) -> int:
     print("monoid: valid")
     print("inverse: %s%s" % ("yes" if inverse_structure(M).ok else "no", _classify(M)))
     if args.as_frame:
+        from .cli import check_frame
+
         frame = _passed(check_frame(M), "frame: no")
         print("frame: yes")
         print("bottom: %s" % M.label(frame.bottom))
@@ -158,6 +178,8 @@ def _emit_extension(ext, out_path, name):
 
 def cmd_lambda(args) -> int:
     table = wio.load_action(args.action)
+    from .cli import check_inverse_action, lambda_product
+
     n_inv, h_inv = _inverse_pair(table.N, table.H)
     action = _passed(check_inverse_action(n_inv, h_inv, table.act), "action: invalid")
     print("action: valid")
@@ -172,6 +194,8 @@ def cmd_lambda(args) -> int:
 
 def cmd_glue(args) -> int:
     f = wio.load_hom(args.map, validate=False)
+    from .cli import artin_glueing, check_frame
+
     for name, M in (("source", f.source), ("target", f.target)):
         _passed(check_frame(M), "frame %s: no" % name)
     print("frames: yes")
@@ -187,6 +211,8 @@ def cmd_glue(args) -> int:
 
 def cmd_extract(args) -> int:
     ext, n_ref, h_ref = wio._load_extension(args.extension)
+    from .cli import extract_waction, find_retraction, verify_split_extension
+
     _passed(verify_split_extension(ext), "extension: invalid")
     print("extension: valid")
     r = _passed(find_retraction(ext), "weakly-schreier: no")
@@ -202,6 +228,8 @@ def _load_comparand(path):
     names the first law that fails."""
     if path.endswith(".act"):
         table = wio.load_action(path)
+        from .cli import check_inverse_action, lambda_product
+
         n_inv = inverse_structure(table.N)
         h_inv = inverse_structure(table.H)
         if not n_inv.ok or not h_inv.ok:
@@ -212,12 +240,16 @@ def _load_comparand(path):
         return lambda_product(verdict.value).extension
     if path.endswith(".wact"):
         pair = wio.load_wact_pair(path)
+        from .cli import build_extension, check_admissible, check_compatible_action
+
         if not check_admissible(pair.E).ok:
             raise _Refusal("admissible: no (%s)" % path)
         if not check_compatible_action(pair.E, pair.alpha).ok:
             raise _Refusal("compatible: no (%s)" % path)
         return build_extension(pair)
     ext = wio.load_extension(path)
+    from .cli import find_retraction, verify_split_extension
+
     if not verify_split_extension(ext).ok:
         raise _Refusal("extension: invalid (%s)" % path)
     if not find_retraction(ext).ok:
@@ -227,6 +259,8 @@ def _load_comparand(path):
 
 def cmd_compare(args) -> int:
     a, b = _load_comparand(args.a), _load_comparand(args.b)
+    from .cli import extension_morphism
+
     ab = extension_morphism(a, b) is not None
     ba = extension_morphism(b, a) is not None
     print("a<=b: %s" % ("yes" if ab else "no"))
@@ -247,6 +281,8 @@ def cmd_join(args) -> int:
         if bad:
             raise _Refusal("central-idempotent %s: no" % name, "violation image: %s" % bad[0])
     _inverse_pair(f.target, f.source)  # the Artin-like action below needs both inverse
+    from .cli import artin_like_action, join_hom
+
     joined = join_hom(f, g)
     print("join: valid")
     print("map: %s" % " ".join(str(v) for v in joined.map))
@@ -260,12 +296,16 @@ def cmd_enumerate(args) -> int:
     # a --limit below 1 lists nothing
     limit = None if args.limit is None else max(args.limit, 0)
     if args.actions:
+        from .cli import enumerate_inverse_actions
+
         actions = enumerate_inverse_actions(*_inverse_pair(N, H))
         for i, a in enumerate(actions[:limit]):
             print("action %d:" % i)
             print("\n".join(wio._format_act(a.act)))
         print("count: %d" % len(actions))
         return 0
+    from .cli import enumerate_wactions
+
     pairs = list(enumerate_wactions(N, H, bound=_bound()))
     for i, p in enumerate(pairs[:limit]):
         print("pair %d:" % i)
@@ -275,10 +315,15 @@ def cmd_enumerate(args) -> int:
 
 
 def _fingerprint(p) -> str:
-    import hashlib  # only poset needs it; a cold import costs a few ms
+    # hashlib would load OpenSSL, 3.7 MB resident and 5 ms, the peak of a
+    # poset run; _sha1 is the builtin hash that hashlib falls back on
+    try:
+        from _sha1 import sha1
+    except ImportError:
+        from hashlib import sha1
 
     body = repr((p.E.fibers, p.alpha.act)).encode()
-    return hashlib.sha1(body).hexdigest()[:8]
+    return sha1(body).hexdigest()[:8]
 
 
 def emit_dot(pairs, leq) -> str:
@@ -328,6 +373,8 @@ def emit_dot(pairs, leq) -> str:
 def cmd_poset(args) -> int:
     N = wio.load_monoid(args.N)
     H = wio.load_monoid(args.H)
+    from .cli import enumerate_wactions, waction_leq
+
     pairs = list(enumerate_wactions(N, H, bound=_bound()))
     dot = emit_dot(pairs, waction_leq)
     with open(args.dot, "w", encoding="utf-8") as fh:

@@ -40,8 +40,9 @@ from __future__ import annotations
 import os
 
 from .monoid import FiniteMonoid, FormatError, MonoidHom, check_hom, check_monoid
-from .extension import SplitExtension
-from .waction import ActionTable, AdmissibleRelation, WActPair
+
+# The loaders of actions, extensions and pairs import extension and waction
+# when they build their result, so reading a monoid or a map loads neither.
 
 __all__ = [
     "ParseError",
@@ -122,17 +123,25 @@ class _Lines:
             self.error("unexpected trailing line", lineno, tokens[0][1])
 
 
-def _int(lines, token, lineno, what):
-    """The integer of a token: an optional - and ASCII digits, inside the
-    whitespace that int() ignores (no +, _ or other digits)."""
-    text, col = token
+def _integer(text):
+    """The integer of a text that is an optional - and ASCII digits, inside
+    the whitespace that int() ignores (no +, _ or other digits); else None."""
     digits = text.strip().lstrip("-")
     try:
         if digits.isascii() and digits.isdigit():
             return int(text)
     except ValueError:
         pass
-    lines.error("%s must be an integer, got %r" % (what, text), lineno, col)
+    return None
+
+
+def _int(lines, token, lineno, what):
+    """The integer of a token (see _integer)."""
+    text, col = token
+    v = _integer(text)
+    if v is None:
+        lines.error("%s must be an integer, got %r" % (what, text), lineno, col)
+    return v
 
 
 def _in_range(lines, v, bound, message, lineno, col):
@@ -311,6 +320,8 @@ def load_action(path: str) -> ActionTable:
     H, _ = _reference(lines, lines.next("H"), "H", base)
     act = _act_lines(lines, N, H)
     lines.done()
+    from .waction import ActionTable
+
     return ActionTable(N, H, act)
 
 
@@ -336,6 +347,8 @@ def _load_extension(path: str) -> tuple:
     e = _map_line(lines, lines.next("e:"), "e:", G.size, H.size)
     s = _map_line(lines, lines.next("s:"), "s:", H.size, G.size)
     lines.done()
+    from .extension import SplitExtension
+
     ext = SplitExtension(N, G, H, MonoidHom(N, G, k), MonoidHom(G, H, e), MonoidHom(H, G, s))
     return ext, n_ref, h_ref
 
@@ -396,6 +409,8 @@ def load_wact_pair(path: str) -> WActPair:
         fibers[h] = tuple(ids)
     act = _act_lines(lines, N, H, word="action")
     lines.done()
+    from .waction import ActionTable, AdmissibleRelation, WActPair
+
     return WActPair(AdmissibleRelation(N, H, tuple(fibers)), ActionTable(N, H, act))
 
 

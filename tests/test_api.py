@@ -4,6 +4,10 @@ removes code must keep this surface; a change that means to alter it edits
 the table below."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -90,3 +94,60 @@ def test_package_defines_no_public_name_of_its_own():
         if name != "cli":
             library.update(importlib.import_module("wschreier." + name).__all__)
     assert public == library
+
+
+# The package imports its library modules on the first name it does not yet
+# bind.  Each case below starts from a fresh process, since this one has
+# long loaded everything.
+def fresh(code):
+    """The JSON value that code, run in a fresh interpreter, prints last."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wschreier.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LIBRARY = sorted({attr for name, names in API.items() if name != "cli" for attr in names})
+SUBMODULES = ["catalog", "extension", "frames", "io", "monoid", "waction"]
+
+
+def test_submodule_import_leaves_lambda_product_the_function():
+    # importing frames imports the lambda_product module, which the import
+    # system binds on the package under the function's name
+    assert fresh(
+        "import json, sys, wschreier.frames, wschreier\n"
+        "f = sys.modules['wschreier.lambda_product'].lambda_product\n"
+        "from wschreier import lambda_product\n"
+        "print(json.dumps([wschreier.lambda_product is f, lambda_product is f]))"
+    ) == [True, True]
+
+
+def test_star_import_binds_the_library_and_its_modules():
+    names = fresh("import json\nfrom wschreier import *\n"
+                  "print(json.dumps(sorted(n for n in dir() if not n.startswith('_'))))")
+    assert names == sorted(set(LIBRARY) | {"json"} | set(SUBMODULES))
+
+
+def test_dir_lists_the_library():
+    names = fresh("import json, wschreier\nprint(json.dumps(dir(wschreier)))")
+    assert set(LIBRARY) | set(SUBMODULES) <= set(names)
+
+
+def test_loaded_package_is_a_plain_module():
+    # attribute reads are specialised only on a plain module without __getattr__
+    assert fresh(
+        "import json, types, wschreier\n"
+        "def plain():\n"
+        "    return type(wschreier) is types.ModuleType and '__getattr__' not in vars(wschreier)\n"
+        "before = plain()\n"
+        "wschreier.check_monoid\n"
+        "print(json.dumps([before, plain()]))"
+    ) == [False, True]
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert fresh(
+        "import json, wschreier\n"
+        "try:\n    wschreier.no_such_name\nexcept AttributeError as exc:\n    out = str(exc)\n"
+        "print(json.dumps([out, hasattr(wschreier, 'check_monoid')]))"
+    ) == ["module 'wschreier' has no attribute 'no_such_name'", True]

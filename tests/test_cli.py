@@ -410,6 +410,24 @@ class TestEnumerate:
         )
         assert code == 2
 
+    # int() would read each as a number; the bound is an optional - and ASCII digits
+    @pytest.mark.parametrize("raw", ["1_0", "\u0661\u0660", "+9", "9.0", "0x9"])
+    def test_bound_refuses_what_int_alone_accepts(self, files, capsys, monkeypatch, raw):
+        monkeypatch.setenv("WSCHREIER_BOUND", raw)
+        code, out = invoke(
+            capsys, "enumerate", str(files / "sl2.mon"), str(files / "sl2.mon")
+        )
+        assert (code, out) == (2, "error: WSCHREIER_BOUND must be an integer, got %r\n" % raw)
+
+    @pytest.mark.parametrize("raw", [" 9 ", "\t9", "09"])
+    def test_bound_inside_whitespace_or_with_leading_zero(self, files, capsys, monkeypatch, raw):
+        monkeypatch.setenv("WSCHREIER_BOUND", raw)
+        code, out = invoke(
+            capsys, "enumerate", str(files / "sl3.mon"), str(files / "sl3.mon")
+        )
+        assert code == 0
+        assert "count: 41" in out
+
 
 class TestInternalErrors:
     # a ConsistencyError that only a broken builder raises (the conftest
@@ -659,3 +677,69 @@ class TestSubprocess:
             assert proc.returncode == 0
             outs.append((files / name).read_bytes())
         assert outs[0] == outs[1]
+
+
+# The wschreier modules a verb loads, beyond the package itself.  A verb
+# imports the library modules it calls once its inputs are loaded, so an
+# input the loader refuses loads nothing beyond monoid and io.
+LOADS = {"cli", "io", "monoid"}
+LOADS_WACTION = LOADS | {"extension", "waction"}
+LOADS_LAMBDA = LOADS_WACTION | {"lambda_product"}
+LOADS_FRAMES = LOADS_LAMBDA | {"frames"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["check", "sl3.mon"], 0, LOADS),
+        (["check", "broken.mon"], 1, LOADS),
+        (["inverse", "sl3.mon"], 0, LOADS),
+        (["inverse", "rz.mon"], 1, LOADS),
+        (["extract", "diag.ext"], 1, LOADS_WACTION),
+        (["enumerate", "sl2.mon", "sl2.mon"], 0, LOADS_WACTION),
+        (["enumerate", "sl2.mon", "sl2.mon", "--wactions"], 0, LOADS_WACTION),
+        (["poset", "sl2.mon", "sl2.mon", "--dot", "o.dot"], 0, LOADS_WACTION),
+        (["lambda", "alpha_a.act"], 0, LOADS_LAMBDA),
+        (["join", "f.map", "g.map"], 0, LOADS_LAMBDA),
+        (["compare", "alpha_a.act", "alpha_0.act"], 0, LOADS_LAMBDA),
+        (["compare", "diag.ext", "diag.ext"], 1, LOADS | {"extension"}),
+        (["enumerate", "sl2.mon", "sl2.mon", "--actions"], 0, LOADS_LAMBDA),
+        (["glue", "f.map"], 0, LOADS_FRAMES),
+        (["check", "sl3.mon", "--as-frame"], 0, LOADS_FRAMES),
+        # a parse error in the first input, for every verb
+        (["check", "garbage.mon"], 2, LOADS),
+        (["inverse", "garbage.mon"], 2, LOADS),
+        (["lambda", "garbage.act"], 2, LOADS),
+        (["glue", "garbage.map"], 2, LOADS),
+        (["extract", "garbage.ext"], 2, LOADS),
+        (["compare", "garbage.act", "alpha_a.act"], 2, LOADS),
+        (["compare", "garbage.wact", "alpha_a.act"], 2, LOADS),
+        (["compare", "garbage.ext", "alpha_a.act"], 2, LOADS),
+        (["join", "garbage.map", "g.map"], 2, LOADS),
+        (["enumerate", "garbage.mon", "sl2.mon", "--actions"], 2, LOADS),
+        (["enumerate", "garbage.mon", "sl2.mon", "--wactions"], 2, LOADS),
+        (["poset", "garbage.mon", "sl2.mon", "--dot", "o.dot"], 2, LOADS),
+    ],
+)
+def test_verb_loads_only_its_modules(files, argv, code, loaded):
+    """python -m wschreier <verb>, as runpy runs it, imports the modules of
+    its verb and no other; no verb needs catalog."""
+    for ext in ("act", "map", "ext", "wact"):
+        (files / ("garbage." + ext)).write_text("garbage\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(io.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_AS_MAIN, *argv],
+        capture_output=True, text=True, cwd=files, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == code, proc.stdout
+    modules = proc.stderr.splitlines()[-1].split()
+    assert {m[len("wschreier."):] for m in modules if m.startswith("wschreier.")} == loaded
+
+
+# python -m wschreier, then the names of the loaded modules as stderr's last line
+RUN_AS_MAIN = """import runpy, sys
+try:
+    runpy.run_module("wschreier", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
