@@ -73,9 +73,11 @@ _HOME = {
 
 
 def __getattr__(name):
-    """A name of _HOME, read from its module at each access and never kept
-    here, so a verb that imports it from this module sees a rebinding of
-    the name here or in its module."""
+    """A name of _HOME, read from its module at each access, so a verb that
+    imports it from this module sees a rebinding of the name here or in its
+    module.  Setting the name here binds it in this module until it is
+    deleted: pytest's monkeypatch.setattr restores the old value by setting
+    it, so afterwards a rebinding in the defining module is not seen."""
     if name not in _HOME:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     return getattr(import_module("." + _HOME[name], __package__), name)
@@ -315,15 +317,10 @@ def cmd_enumerate(args) -> int:
 
 
 def _fingerprint(p) -> str:
-    # hashlib would load OpenSSL, 3.7 MB resident and 5 ms, the peak of a
-    # poset run; _sha1 is the builtin hash that hashlib falls back on
-    try:
-        from _sha1 import sha1
-    except ImportError:
-        from hashlib import sha1
+    import hashlib  # only poset needs it; a cold import costs a few ms
 
     body = repr((p.E.fibers, p.alpha.act)).encode()
-    return sha1(body).hexdigest()[:8]
+    return hashlib.sha1(body).hexdigest()[:8]
 
 
 def emit_dot(pairs, leq) -> str:
