@@ -33,11 +33,19 @@ class _Package(_ModuleType):
             value = getattr(value, name)
         super().__setattr__(name, value)
 
+    def __getattr__(self, name):
+        namespace = _load(self)
+        if name in namespace:
+            return namespace[name]
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
-def _load():
+    def __dir__(self):
+        return sorted(_load(self))
+
+
+def _load(package):
     """The package namespace, once each library module is imported and its
     __all__ bound here."""
-    package = _sys.modules[__name__]
     namespace = vars(package)
     for module in _LIBRARY:
         m = _import_module("." + module, __name__)
@@ -46,19 +54,7 @@ def _load():
     # bind over a library name.  Python specialises attribute reads only on
     # a plain module without __getattr__: 13 ns against 48 ns a read (3.11).
     package.__class__ = _ModuleType
-    del namespace["__getattr__"], namespace["__dir__"]
     return namespace
-
-
-def __getattr__(name):
-    namespace = _load()
-    if name in namespace:
-        return namespace[name]
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def __dir__():
-    return sorted(_load())
 
 
 _sys.modules[__name__].__class__ = _Package

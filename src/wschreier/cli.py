@@ -24,13 +24,9 @@ enumeration only: enumerate, enumerate --wactions and poset.  enumerate
 --actions is capped instead by the candidate estimate of
 enumerate_inverse_actions.
 
-A verb imports only the library modules it calls, once its input files are
-loaded.  check and inverse need monoid and io alone, and so does any verb
-whose input the loader refuses.  extract, enumerate [--wactions] and poset
-add extension and waction; lambda, join and enumerate --actions add
-lambda_product to those; glue and check --as-frame add frames to those.
-compare adds what its inputs need: extension for an .ext, waction for a
-.wact, and lambda_product for an .act.  No verb loads catalog.
+A verb imports the library modules it calls from their defining modules, once
+its input files are loaded; tests/test_cli.py::test_verb_loads_only_its_modules
+lists the modules each verb loads.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 
 from .monoid import (
     BoundExceeded,
@@ -55,38 +50,11 @@ import wschreier.io as wio  # "from . import io" would ask the lazy package for 
 
 __all__ = ["main", "run", "emit_dot"]
 
-# The module of each library name the verbs call from beyond monoid and io.
-# A verb imports these names from this module (see __getattr__) once its
-# inputs are loaded, so a run imports only the modules its verb calls.
-_HOME = {
-    name: module
-    for module, names in (
-        ("extension", "extension_morphism find_retraction verify_split_extension"),
-        ("waction", "DEFAULT_BOUND build_extension check_admissible check_compatible_action"
-                    " enumerate_wactions extract_waction waction_leq"),
-        ("lambda_product", "artin_like_action check_inverse_action enumerate_inverse_actions"
-                           " join_hom lambda_product"),
-        ("frames", "artin_glueing check_frame"),
-    )
-    for name in names.split()
-}
-
-
-def __getattr__(name):
-    """A name of _HOME, read from its module at each access, so a verb that
-    imports it from this module sees a rebinding of the name here or in its
-    module.  Setting the name here binds it in this module until it is
-    deleted: pytest's monkeypatch.setattr restores the old value by setting
-    it, so afterwards a rebinding in the defining module is not seen."""
-    if name not in _HOME:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(import_module("." + _HOME[name], __package__), name)
-
 
 def _bound() -> int:
     raw = os.environ.get("WSCHREIER_BOUND", "")
     if raw.strip() == "":
-        from .cli import DEFAULT_BOUND
+        from .waction import DEFAULT_BOUND
 
         return DEFAULT_BOUND
     bound = wio._integer(raw)
@@ -129,7 +97,7 @@ def cmd_check(args) -> int:
     print("monoid: valid")
     print("inverse: %s%s" % ("yes" if inverse_structure(M).ok else "no", _classify(M)))
     if args.as_frame:
-        from .cli import check_frame
+        from .frames import check_frame
 
         frame = _passed(check_frame(M), "frame: no")
         print("frame: yes")
@@ -180,7 +148,7 @@ def _emit_extension(ext, out_path, name):
 
 def cmd_lambda(args) -> int:
     table = wio.load_action(args.action)
-    from .cli import check_inverse_action, lambda_product
+    from .lambda_product import check_inverse_action, lambda_product
 
     n_inv, h_inv = _inverse_pair(table.N, table.H)
     action = _passed(check_inverse_action(n_inv, h_inv, table.act), "action: invalid")
@@ -196,7 +164,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_glue(args) -> int:
     f = wio.load_hom(args.map, validate=False)
-    from .cli import artin_glueing, check_frame
+    from .frames import artin_glueing, check_frame
 
     for name, M in (("source", f.source), ("target", f.target)):
         _passed(check_frame(M), "frame %s: no" % name)
@@ -213,7 +181,8 @@ def cmd_glue(args) -> int:
 
 def cmd_extract(args) -> int:
     ext, n_ref, h_ref = wio._load_extension(args.extension)
-    from .cli import extract_waction, find_retraction, verify_split_extension
+    from .extension import find_retraction, verify_split_extension
+    from .waction import extract_waction
 
     _passed(verify_split_extension(ext), "extension: invalid")
     print("extension: valid")
@@ -230,7 +199,7 @@ def _load_comparand(path):
     names the first law that fails."""
     if path.endswith(".act"):
         table = wio.load_action(path)
-        from .cli import check_inverse_action, lambda_product
+        from .lambda_product import check_inverse_action, lambda_product
 
         n_inv = inverse_structure(table.N)
         h_inv = inverse_structure(table.H)
@@ -242,7 +211,7 @@ def _load_comparand(path):
         return lambda_product(verdict.value).extension
     if path.endswith(".wact"):
         pair = wio.load_wact_pair(path)
-        from .cli import build_extension, check_admissible, check_compatible_action
+        from .waction import build_extension, check_admissible, check_compatible_action
 
         if not check_admissible(pair.E).ok:
             raise _Refusal("admissible: no (%s)" % path)
@@ -250,7 +219,7 @@ def _load_comparand(path):
             raise _Refusal("compatible: no (%s)" % path)
         return build_extension(pair)
     ext = wio.load_extension(path)
-    from .cli import find_retraction, verify_split_extension
+    from .extension import find_retraction, verify_split_extension
 
     if not verify_split_extension(ext).ok:
         raise _Refusal("extension: invalid (%s)" % path)
@@ -261,7 +230,7 @@ def _load_comparand(path):
 
 def cmd_compare(args) -> int:
     a, b = _load_comparand(args.a), _load_comparand(args.b)
-    from .cli import extension_morphism
+    from .extension import extension_morphism
 
     ab = extension_morphism(a, b) is not None
     ba = extension_morphism(b, a) is not None
@@ -283,7 +252,7 @@ def cmd_join(args) -> int:
         if bad:
             raise _Refusal("central-idempotent %s: no" % name, "violation image: %s" % bad[0])
     _inverse_pair(f.target, f.source)  # the Artin-like action below needs both inverse
-    from .cli import artin_like_action, join_hom
+    from .lambda_product import artin_like_action, join_hom
 
     joined = join_hom(f, g)
     print("join: valid")
@@ -298,7 +267,7 @@ def cmd_enumerate(args) -> int:
     # a --limit below 1 lists nothing
     limit = None if args.limit is None else max(args.limit, 0)
     if args.actions:
-        from .cli import enumerate_inverse_actions
+        from .lambda_product import enumerate_inverse_actions
 
         actions = enumerate_inverse_actions(*_inverse_pair(N, H))
         for i, a in enumerate(actions[:limit]):
@@ -306,7 +275,7 @@ def cmd_enumerate(args) -> int:
             print("\n".join(wio._format_act(a.act)))
         print("count: %d" % len(actions))
         return 0
-    from .cli import enumerate_wactions
+    from .waction import enumerate_wactions
 
     pairs = list(enumerate_wactions(N, H, bound=_bound()))
     for i, p in enumerate(pairs[:limit]):
@@ -370,7 +339,7 @@ def emit_dot(pairs, leq) -> str:
 def cmd_poset(args) -> int:
     N = wio.load_monoid(args.N)
     H = wio.load_monoid(args.H)
-    from .cli import enumerate_wactions, waction_leq
+    from .waction import enumerate_wactions, waction_leq
 
     pairs = list(enumerate_wactions(N, H, bound=_bound()))
     dot = emit_dot(pairs, waction_leq)
@@ -460,7 +429,3 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     return run(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,6 +26,7 @@ from .monoid import (
     Verdict,
     Violation,
     _bad_cell,
+    _decimal,
     _hom_laws,
     check_hom,
     check_monoid,
@@ -234,7 +235,7 @@ def all_retractions(ext: SplitExtension, limit: int = 64) -> tuple:
             return ()
         total *= len(options)
     if total > limit:
-        raise BoundExceeded("%d retractions exceed limit %d" % (total, limit), total)
+        raise BoundExceeded("%s retractions exceed limit %d" % (_decimal(total), limit), total)
     return tuple(SchreierRetraction(ext, qs) for qs in product(*cands))
 
 

@@ -31,6 +31,7 @@ from .monoid import (
     Verdict,
     Violation,
     _Cells,
+    _decimal,
     _hom_laws,
     _hom_search,
     center,
@@ -268,7 +269,7 @@ def enumerate_inverse_actions(
     estimate = len(endos) ** len(gens)
     if estimate > max_candidates:
         raise BoundExceeded(
-            "%d candidate assignments exceed cap %d" % (estimate, max_candidates),
+            "%s candidate assignments exceed cap %d" % (_decimal(estimate), max_candidates),
             estimate,
         )
     one, e = (tuple(N.base.elements),), H.base.identity

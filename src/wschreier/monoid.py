@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, permutations
+from math import log10
 from operator import itemgetter
 
 __all__ = [
@@ -65,6 +66,15 @@ class BoundExceeded(RuntimeError, ValueError):
     def __init__(self, message: str, estimate: int):
         super().__init__(message)
         self.estimate = estimate
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or 10^k with k about log10 n for an n with more digits
+    than Python converts to a string (sys.get_int_max_str_digits)."""
+    try:
+        return "%d" % n
+    except ValueError:
+        return "10^%d" % log10(n)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .monoid import (
     Violation,
     _bad_cell,
     _cell_search,
+    _decimal,
     _normalize_classes,
 )
 from .extension import SchreierRetraction, SplitExtension, _extension_on_carrier
@@ -501,8 +502,8 @@ def enumerate_wactions(N: FiniteMonoid, H: FiniteMonoid, bound: int = DEFAULT_BO
     if N.size * H.size > bound:
         estimate = _bell(N.size) ** (H.size - 1) * N.size ** ((H.size - 1) * N.size)
         raise BoundExceeded(
-            "|N|*|H| = %d exceeds bound %d (about %d raw candidates)"
-            % (N.size * H.size, bound, estimate),
+            "|N|*|H| = %d exceeds bound %d (about %s raw candidates)"
+            % (N.size * H.size, bound, _decimal(estimate)),
             estimate,
         )
     return tuple(_checked(WActPair(E, a))

@@ -57,8 +57,8 @@ API = {
     "cli": ["emit_dot", "main", "run"],
 }
 
-# library names the package does not re-export: none, since __init__ star-imports
-# each library module
+# library names the package does not re-export: none, since the package binds
+# each library module's __all__ when it is first asked for a name
 NOT_REEXPORTED = set()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import assert_dag_transitively_reduced, parse_dot
 from wschreier import io
-from wschreier.catalog import chain_lattice, right_zero_adjoined
+from wschreier.catalog import chain_lattice, cyclic_group, right_zero_adjoined
 from wschreier.cli import run
 from wschreier.extension import SplitExtension, direct_product_extension, verify_split_extension
 from wschreier.io import (
@@ -171,7 +171,7 @@ class TestLambda:
         def broken(action):
             raise ConsistencyError("lambda product fails monoid laws: boom")
 
-        monkeypatch.setattr("wschreier.cli.lambda_product", broken)
+        monkeypatch.setattr(sys.modules["wschreier.lambda_product"], "lambda_product", broken)
         code, out = invoke(capsys, "lambda", str(files / "alpha_a.act"))
         assert code == 3
         assert out == "action: valid\nerror: internal: lambda product fails monoid laws: boom\n"
@@ -403,6 +403,17 @@ class TestEnumerate:
             assert "exceeds bound" in out
         assert not (files / "o.dot").exists()
 
+    @pytest.mark.parametrize("verb", [["enumerate"], ["poset", "--dot", "o.dot"]])
+    def test_bound_refuses_an_estimate_too_long_to_print(self, files, capsys, verb):
+        # the estimate for C50 has 6479 digits, more than Python prints by default
+        (files / "c50.mon").write_text(serialize_monoid(cyclic_group(50), "c50"), encoding="utf-8")
+        c50 = str(files / "c50.mon")
+        code, out = invoke(capsys, verb[0], c50, c50, *verb[1:])
+        assert (code, out) == (
+            2, "error: |N|*|H| = 2500 exceeds bound 9 (about 10^6478 raw candidates)\n"
+        )
+        assert not (files / "o.dot").exists()
+
     def test_bad_bound_value(self, files, capsys, monkeypatch):
         monkeypatch.setenv("WSCHREIER_BOUND", "many")
         code, out = invoke(
@@ -451,6 +462,39 @@ class TestInternalErrors:
         code, out = invoke(capsys, "enumerate", str(files / "sl2.mon"), str(files / "sl2.mon"))
         assert code == 3
         assert out == "error: internal: table fails compatibility: action-mul: 0 0 0\n"
+
+    @pytest.mark.parametrize(
+        "argv, module, name, before",
+        [
+            (["lambda", "alpha_a.act"], "lambda_product", "lambda_product", "action: valid\n"),
+            (["glue", "f.map"], "frames", "artin_glueing", "frames: yes\nmeet-hom: yes\n"),
+            (["extract", "prod.ext"], "waction", "extract_waction",
+             "extension: valid\nweakly-schreier: yes\nschreier: yes\n"),
+            (["compare", "alpha_a.act", "prod.ext"], "extension", "extension_morphism", ""),
+            (["join", "f.map", "g.map"], "lambda_product", "join_hom", ""),
+            (["enumerate", "sl2.mon", "sl2.mon", "--actions"],
+             "lambda_product", "enumerate_inverse_actions", ""),
+            (["enumerate", "sl2.mon", "sl2.mon"], "waction", "enumerate_wactions", ""),
+            (["poset", "sl2.mon", "sl2.mon", "--dot", "o.dot"], "waction", "waction_leq", ""),
+        ],
+        ids=["lambda", "glue", "extract", "compare", "join", "enumerate-actions", "enumerate",
+             "poset"],
+    )
+    def test_verb_reads_library_names_from_their_modules(
+        self, files, capsys, monkeypatch, sl2, argv, module, name, before
+    ):
+        # a verb sees a name rebound in its defining module, as the tracer rebinds it
+        def broken(*args, **kwargs):
+            raise ConsistencyError("boom")
+
+        text = serialize_extension(direct_product_extension(sl2, sl2), "sl2.mon", "G.mon",
+                                   "sl2.mon", "prod")
+        (files / "prod.ext").write_text(text, encoding="utf-8")
+        monkeypatch.chdir(files)
+        monkeypatch.setattr(sys.modules["wschreier." + module], name, broken)
+        code, out = invoke(capsys, *argv)
+        assert code == 3
+        assert out == before + "error: internal: boom\n"
 
 
 class TestPoset:

@@ -25,6 +25,7 @@ from wschreier.monoid import (
     MonoidHom,
     PreconditionError,
     Violation,
+    _decimal,
     are_isomorphic,
     canonical_form,
     center,
@@ -547,3 +548,12 @@ class TestShapeErrors:
             call()
         assert type(info.value) is FormatError
         assert str(info.value) == message
+
+
+class TestDecimal:
+    # the BoundExceeded messages print a count this way
+    def test_a_printable_count_is_its_decimal(self):
+        assert _decimal(7 ** 2000) == "%d" % 7 ** 2000
+
+    def test_a_count_too_long_to_print_is_a_power_of_ten(self):
+        assert _decimal(10 ** 5000) == "10^5000"

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import re
 from operator import itemgetter
@@ -518,6 +519,16 @@ class TestEnumeration:
         with pytest.raises(BoundExceeded) as info:
             enumerate_wactions(diamond_lattice(), sl3)
         assert info.value.estimate > 0
+
+    def test_bound_refuses_an_estimate_too_long_to_print(self):
+        bell = [1]
+        for n in range(50):
+            bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
+        C50 = cyclic_group(50)
+        with pytest.raises(BoundExceeded) as info:
+            enumerate_wactions(C50, C50)
+        assert info.value.estimate == bell[50] ** 49 * 50 ** (49 * 50)
+        assert str(info.value) == "|N|*|H| = 2500 exceeds bound 9 (about 10^6478 raw candidates)"
 
     def test_bound_override(self, sl2, c2):
         # explicit bound below the pair size also refuses
