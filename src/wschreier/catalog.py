@@ -54,8 +54,6 @@ def chain_lattice(k: int) -> FiniteMonoid:
     table = tuple(tuple(max(a, b) for b in range(k)) for a in range(k))
     if k == 1:
         labels = ("1",)
-    elif k == 2:
-        labels = ("1", "0")
     elif k == 3:
         labels = ("1", "a", "0")
     else:

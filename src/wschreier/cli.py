@@ -195,37 +195,32 @@ def cmd_extract(args) -> int:
 
 
 def _load_comparand(path):
-    """An extension from an .act, .ext or .wact file; a _Refusal of one line
-    names the first law that fails."""
-    if path.endswith(".act"):
-        table = wio.load_action(path)
-        from .lambda_product import check_inverse_action, lambda_product
+    """An extension from an .act, .ext or .wact file; the first law that fails
+    is a _Refusal of the one line 'header (path)', with no violation line."""
+    try:
+        if path.endswith(".act"):
+            table = wio.load_action(path)
+            from .lambda_product import check_inverse_action, lambda_product
 
-        n_inv = inverse_structure(table.N)
-        h_inv = inverse_structure(table.H)
-        if not n_inv.ok or not h_inv.ok:
-            raise _Refusal("inverse: no (%s)" % path)
-        verdict = check_inverse_action(n_inv.value, h_inv.value, table.act)
-        if not verdict.ok:
-            raise _Refusal("action: invalid (%s)" % path)
-        return lambda_product(verdict.value).extension
-    if path.endswith(".wact"):
-        pair = wio.load_wact_pair(path)
-        from .waction import build_extension, check_admissible, check_compatible_action
+            n_inv = _passed(inverse_structure(table.N), "inverse: no")
+            h_inv = _passed(inverse_structure(table.H), "inverse: no")
+            action = _passed(check_inverse_action(n_inv, h_inv, table.act), "action: invalid")
+            return lambda_product(action).extension
+        if path.endswith(".wact"):
+            pair = wio.load_wact_pair(path)
+            from .waction import build_extension, check_admissible, check_compatible_action
 
-        if not check_admissible(pair.E).ok:
-            raise _Refusal("admissible: no (%s)" % path)
-        if not check_compatible_action(pair.E, pair.alpha).ok:
-            raise _Refusal("compatible: no (%s)" % path)
-        return build_extension(pair)
-    ext = wio.load_extension(path)
-    from .extension import find_retraction, verify_split_extension
+            _passed(check_admissible(pair.E), "admissible: no")
+            _passed(check_compatible_action(pair.E, pair.alpha), "compatible: no")
+            return build_extension(pair)
+        ext = wio.load_extension(path)
+        from .extension import find_retraction, verify_split_extension
 
-    if not verify_split_extension(ext).ok:
-        raise _Refusal("extension: invalid (%s)" % path)
-    if not find_retraction(ext).ok:
-        raise _Refusal("weakly-schreier: no (%s)" % path)
-    return ext
+        _passed(verify_split_extension(ext), "extension: invalid")
+        _passed(find_retraction(ext), "weakly-schreier: no")
+        return ext
+    except _Refusal as exc:
+        raise _Refusal("%s (%s)" % (exc.args[0], path)) from None
 
 
 def cmd_compare(args) -> int:
@@ -295,25 +290,18 @@ def _fingerprint(p) -> str:
 def emit_dot(pairs, leq) -> str:
     """DOT text of the poset reflection of a preorder on pairs.
 
-    Mutually comparable pairs collapse into one node labelled by class size
-    and the fingerprint of its first member; edges are the covers of the
-    quotient (transitive reduction), drawn upward.  On the output of
-    enumerate_wactions every node has size 1: p <= q <= p forces equal
-    fibres and equivalent actions, and the enumerator yields one pair per
-    class.
+    Mutually comparable pairs collapse into one node, represented by the
+    least member i of its class (no earlier j has i <= j <= i) and labelled
+    by its size, the number of j with i <= j <= i, and the fingerprint of
+    pairs[i].  Edges are the covers of the quotient (transitive reduction),
+    drawn upward.  On the output of enumerate_wactions every node has size
+    1: p <= q <= p forces equal fibres and equivalent actions, and the
+    enumerator yields one pair per class.
     """
     n = len(pairs)
     below = [[i == j or leq(pairs[i], pairs[j]) for j in range(n)] for i in range(n)]
-    klass = [-1] * n
-    reps = []
-    for i in range(n):
-        if klass[i] >= 0:
-            continue
-        klass[i] = len(reps)
-        for j in range(i + 1, n):
-            if klass[j] < 0 and below[i][j] and below[j][i]:
-                klass[j] = len(reps)
-        reps.append(i)
+    reps = [i for i in range(n) if not any(below[i][j] and below[j][i] for j in range(i))]
+    sizes = [sum(below[i][j] and below[j][i] for j in range(n)) for i in reps]
     k = len(reps)
     order = [[below[reps[i]][reps[j]] for j in range(k)] for i in range(k)]
     edges = []
@@ -324,7 +312,6 @@ def emit_dot(pairs, leq) -> str:
             if any(m != i and m != j and order[i][m] and order[m][j] for m in range(k)):
                 continue
             edges.append((i, j))
-    sizes = [sum(1 for c in klass if c == ci) for ci in range(k)]
     out = ["digraph wact_poset {", "  rankdir=BT;"]
     for ci in range(k):
         out.append(

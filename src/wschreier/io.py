@@ -38,6 +38,7 @@ Parse errors carry the file, line and column of the offending token.
 from __future__ import annotations
 
 import os
+import re
 
 from .monoid import FiniteMonoid, FormatError, MonoidHom, check_hom, check_monoid
 
@@ -96,12 +97,7 @@ class _Lines:
         for lineno, raw in enumerate(_split_lines(text), start=1):
             if raw.strip() == "" or raw.lstrip().startswith("#"):
                 continue
-            tokens = []
-            col = 0
-            for piece in raw.split(" "):
-                if piece != "":
-                    tokens.append((piece, col + 1))
-                col += len(piece) + 1
+            tokens = [(m.group(), m.start() + 1) for m in re.finditer("[^ ]+", raw)]
             self.records.append((lineno, tokens, raw))
         self.pos = 0
         self.loaded = {}  # the monoids this file references, by resolved path
@@ -156,6 +152,15 @@ def _index(lines, token, lineno, what, bound, message):
     return _in_range(lines, _int(lines, token, lineno, what), bound, message, lineno, token[1])
 
 
+def _entries(lines, lineno, tokens, label, col, what, size, bound):
+    """The indices in 0..bound-1 of a line's entry tokens, of which there
+    must be size; a wrong count is an error at col naming the line by label."""
+    if len(tokens) != size:
+        lines.error("%s has %d entries, expected %d" % (label, len(tokens), size), lineno, col)
+    message = "entry {} out of range 0..{}"
+    return tuple([_index(lines, t, lineno, what, bound, message) for t in tokens])
+
+
 def _keyword(lines, rec, word):
     lineno, tokens, _ = rec
     if not tokens or tokens[0][0] != word:
@@ -179,24 +184,16 @@ def parse_monoid(text: str, file: str = "<input>", validate: bool = True) -> Fin
     if len(tokens) != 2:
         lines.error("expected 'identity <index>'", lineno, tokens[0][1])
     identity = _index(lines, tokens[1], lineno, "identity", size, "identity {} out of range 0..{}")
-    message = "entry {} out of range 0..{}"
     table = []
     for i in range(size):
-        lineno, tokens = _keyword(lines, lines.next("row %d" % i), "row")
+        label = "row %d" % i
+        lineno, tokens = _keyword(lines, lines.next(label), "row")
         if len(tokens) < 2 or not tokens[1][0].endswith(":"):
-            lines.error("expected 'row %d: ...'" % i, lineno, tokens[0][1])
-        got = tokens[1][0][:-1]
+            lines.error("expected '%s: ...'" % label, lineno, tokens[0][1])
+        got, col = tokens[1][0][:-1], tokens[1][1]
         if got != str(i):
-            lines.error("expected row %d, got row %s" % (i, got), lineno, tokens[1][1])
-        entries = tokens[2:]
-        if len(entries) != size:
-            lines.error(
-                "row %d has %d entries, expected %d" % (i, len(entries), size),
-                lineno,
-                tokens[1][1],
-            )
-        row = [_index(lines, t, lineno, "table entry", size, message) for t in entries]
-        table.append(tuple(row))
+            lines.error("expected %s, got row %s" % (label, got), lineno, col)
+        table.append(_entries(lines, lineno, tokens[2:], label, col, "table entry", size, size))
     labels = None
     if lines.pos < len(lines.records) and lines.records[lines.pos][1][0][0] == "labels:":
         lineno, tokens, _ = lines.next()
@@ -253,15 +250,7 @@ def _reference(lines, rec, word, base_dir):
 
 def _map_line(lines, rec, word, size, bound):
     lineno, tokens = _keyword(lines, rec, word)
-    entries = tokens[1:]
-    if len(entries) != size:
-        lines.error(
-            "%s has %d entries, expected %d" % (word, len(entries), size),
-            lineno,
-            tokens[0][1],
-        )
-    message = "entry {} out of range 0..{}"
-    return tuple([_index(lines, t, lineno, "map entry", bound, message) for t in entries])
+    return _entries(lines, lineno, tokens[1:], word, tokens[0][1], "map entry", size, bound)
 
 
 def load_hom(path: str, validate: bool = True) -> MonoidHom:

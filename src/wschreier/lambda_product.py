@@ -262,10 +262,11 @@ def enumerate_inverse_actions(
     generator: the images of the other elements are derived by composition,
     and each hom law phi(a b) = phi(a) phi(b) is checked once, as soon as its
     three values are known.  Refuses with BoundExceeded when the assignment
-    count |End(N)|^#generators exceeds max_candidates.
+    count |End(N)|^#generators exceeds max_candidates.  A trivial H has no
+    generators, so End(N) is not built for it (0 ** 0 is 1 candidate).
     """
-    endos = semigroup_endomorphisms(N.base)
     gens, plan = generating_plan(H.base)
+    endos = semigroup_endomorphisms(N.base) if gens else ()
     estimate = len(endos) ** len(gens)
     if estimate > max_candidates:
         raise BoundExceeded(

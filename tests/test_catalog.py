@@ -59,6 +59,19 @@ class TestFixtures:
         assert sl3.mul(1, 2) == 2  # a * 0 = 0
         assert [sl3.label(i) for i in sl3.elements] == ["1", "a", "0"]
 
+    @pytest.mark.parametrize(
+        "k, labels",
+        [
+            (1, ("1",)),
+            (2, ("1", "0")),
+            (3, ("1", "a", "0")),
+            (4, ("1", "a1", "a2", "0")),
+            (5, ("1", "a1", "a2", "a3", "0")),
+        ],
+    )
+    def test_chain_lattice_labels(self, k, labels):
+        assert chain_lattice(k).labels == labels
+
     def test_diamond_and_m3_are_monoids(self):
         for M in (diamond_lattice(), m3_lattice()):
             assert check_monoid(M.table, M.identity).ok

@@ -543,6 +543,18 @@ class TestPoset:
         assert dot.count("[label=") == 1
         assert "->" not in dot
 
+    def test_emit_dot_of_doubled_pairs_doubles_each_size(self, sl3, sl2):
+        # each pair beside a copy of itself: every class has two members, and
+        # the 12 covers among the 17 comparable pairs of classes stay the same
+        from wschreier.cli import emit_dot
+        from wschreier.waction import enumerate_wactions, waction_leq
+
+        pairs = list(enumerate_wactions(sl3, sl2))
+        dot = emit_dot(pairs, waction_leq)
+        doubled = emit_dot([p for p in pairs for _ in range(2)], waction_leq)
+        assert len(pairs) == 10 and dot.count("->") == 12
+        assert doubled == dot.replace("size=1", "size=2")
+
 
 class TestRefusals:
     """The exit code and the whole stdout of each law refusal that the other
@@ -583,6 +595,11 @@ class TestRefusals:
     def test_compare_non_inverse_action(self, d, capsys):
         path = str(d / "rz.act")
         out = "inverse: no (%s)\n" % path
+        assert invoke(capsys, "compare", path, str(d / "ok.wact")) == (1, out)
+
+    def test_compare_invalid_action(self, d, capsys):
+        path = str(d / "bad.act")
+        out = "action: invalid (%s)\n" % path
         assert invoke(capsys, "compare", path, str(d / "ok.wact")) == (1, out)
 
     def test_compare_inadmissible_wact(self, d, capsys):

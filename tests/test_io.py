@@ -496,6 +496,12 @@ class TestShapeErrors:
          "table entry must be an integer, got '1_0'"),
         ("arabic.mon", load_monoid, "monoid a 2\nidentity 0\nrow 0: 0 1\nrow 1: ١ ١\n",
          4, 8, "table entry must be an integer, got '١'"),
+        # a token after a run of spaces keeps the column of its first character
+        ("spaced.mon", load_monoid, "monoid a 2\nidentity 0\nrow  0:  0   5\n", 3, 14,
+         "entry 5 out of range 0..1"),
+        ("spaced.ext", load_extension,
+         "extension e\nN sl2.mon\nG sl3.mon\nH sl2.mon\nk:  0    x\n", 5, 10,
+         "map entry must be an integer, got 'x'"),
     ]
 
     @pytest.mark.parametrize("name, loader, text, line, col, message", CASES,

@@ -402,6 +402,23 @@ class TestEnumeration:
             reference_inverse_actions(N, H, max_candidates=estimate)
         )
 
+    def test_trivial_h_builds_no_endomorphisms(self, sl3, t1, monkeypatch):
+        # a trivial H has no generators, so End(N) is never read
+        N = inverse_structure(sl3).value
+        H = inverse_structure(t1).value
+        built = []
+
+        def counted(M):
+            built.append(M)
+            return semigroup_endomorphisms(M)
+
+        monkeypatch.setattr(lambda_module, "semigroup_endomorphisms", counted)
+        actions = enumerate_inverse_actions(N, H)
+        assert [a.act for a in actions] == [(tuple(sl3.elements),)]
+        with pytest.raises(BoundExceeded, match="^1 candidate assignments exceed cap 0$"):
+            enumerate_inverse_actions(N, H, max_candidates=0)
+        assert built == []
+
     def test_plan_of_h_is_built_once(self, sl3, sl2, monkeypatch):
         N = inverse_structure(sl3).value
         H = inverse_structure(direct_product(sl2, sl2)).value
