@@ -5,14 +5,13 @@ the full checks, on every lambda product and glueing."""
 
 import random
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 
 import pytest
 
 import tests.conftest as oracle
 from wschreier.catalog import chain_lattice
-from wschreier.extension import _extension_on_carrier, verify_split_extension
+from wschreier.extension import SplitExtension, _extension_on_carrier, verify_split_extension
 from wschreier.frames import _frame_laws
 from wschreier.monoid import MonoidHom, check_monoid, congruence_closure
 
@@ -87,7 +86,7 @@ def test_generators(draws, lambdas, glued):
             build.append((ext.N, ext.H, carrier, products, [carrier[g] for g in s], what))
         for _ in range(MUTANTS):
             e = oracle.one_cell_mutant((ext.e.map,), rng, ext.H.size)[0]
-            verify.append((replace(ext, e=MonoidHom(G, ext.H, e)),))
+            verify.append((SplitExtension(ext.N, G, ext.H, ext.k, MonoidHom(G, ext.H, e), ext.s),))
         if what == "glueing":
             frames.append((G, set(k).union(s)))
     # tables checked in full, factored with a broken law (the rerun), factored monoids

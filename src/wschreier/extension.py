@@ -13,7 +13,6 @@ e's product law (monoid.check_monoid), and a failure reruns the full check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .monoid import (
@@ -25,9 +24,11 @@ from .monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    _Record,
     _bad_cell,
     _decimal,
     _hom_laws,
+    _set,
     check_hom,
     check_monoid,
     direct_product,
@@ -47,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SplitExtension:
+class SplitExtension(_Record):
     """Bundle (N, G, H, k, e, s).
 
     ks[h][n] = k(n) * s(h) is the factor table, derived once per instance.
@@ -57,12 +57,17 @@ class SplitExtension:
     FiniteMonoid.elements, none of them takes part in equality, hashing or repr.
     """
 
-    N: FiniteMonoid
-    G: FiniteMonoid
-    H: FiniteMonoid
-    k: MonoidHom
-    e: MonoidHom
-    s: MonoidHom
+    _fields = ("N", "G", "H", "k", "e", "s")
+
+    def __init__(self, N: FiniteMonoid, G: FiniteMonoid, H: FiniteMonoid,
+                 k: MonoidHom, e: MonoidHom, s: MonoidHom):
+        _set(self, "N", N)
+        _set(self, "G", G)
+        _set(self, "H", H)
+        _set(self, "k", k)
+        _set(self, "e", e)
+        _set(self, "s", s)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.k.source != self.N or self.k.target != self.G:
@@ -77,16 +82,19 @@ class SplitExtension:
         object.__setattr__(self, "verified", False)
 
 
-@dataclass(frozen=True)
-class SchreierRetraction:
+class SchreierRetraction(_Record):
     """A map q: G -> N with k(q(g)) * s(e(g)) = g for every g.
 
     The constructor checks q against the factor table ext.ks, the one check
     of a q that a caller passes in; unique is read off the same table.
     """
 
-    ext: SplitExtension
-    q: tuple
+    _fields = ("ext", "q")
+
+    def __init__(self, ext: SplitExtension, q: tuple):
+        _set(self, "ext", ext)
+        _set(self, "q", q)
+        self.__post_init__()
 
     def __post_init__(self):
         ext = self.ext

@@ -29,7 +29,6 @@ s(H), in full on a failure; joins are read off up-set bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .monoid import (
@@ -39,7 +38,9 @@ from .monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    _Record,
     _hom_laws,
+    _set,
 )
 from .extension import _extension_on_carrier
 from .lambda_product import LambdaProduct, artin_like_action, join_hom, lambda_product
@@ -53,14 +54,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteFrame:
+class FiniteFrame(_Record):
     """A frame with its derived order, join table and bottom element."""
 
-    base: FiniteMonoid
-    leq: tuple
-    join: tuple
-    bottom: int
+    _fields = ("base", "leq", "join", "bottom")
+
+    def __init__(self, base: FiniteMonoid, leq: tuple, join: tuple, bottom: int):
+        _set(self, "base", base)
+        _set(self, "leq", leq)
+        _set(self, "join", join)
+        _set(self, "bottom", bottom)
 
     @property
     def top(self) -> int:

@@ -19,8 +19,6 @@ extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .monoid import (
     BoundExceeded,
     FiniteMonoid,
@@ -31,9 +29,11 @@ from .monoid import (
     Verdict,
     Violation,
     _Cells,
+    _Record,
     _decimal,
     _hom_laws,
     _hom_search,
+    _set,
     center,
     check_hom,
     generating_plan,
@@ -60,13 +60,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InverseAction:
+class InverseAction(_Record):
     """An action table act[h][n] over inverse structures for N and H."""
 
-    N: InverseStructure
-    H: InverseStructure
-    act: tuple
+    _fields = ("N", "H", "act")
+
+    def __init__(self, N: InverseStructure, H: InverseStructure, act: tuple):
+        _set(self, "N", N)
+        _set(self, "H", H)
+        _set(self, "act", act)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "act", ActionTable(self.N.base, self.H.base, self.act).act)
@@ -107,16 +110,19 @@ def check_inverse_action(N: InverseStructure, H: InverseStructure, act) -> Verdi
     return Verdict(_checked(a))
 
 
-@dataclass(frozen=True)
-class LambdaProduct:
+class LambdaProduct(_Record):
     """The lambda semidirect product bundle: carrier pairs in (n, h) index
     form, the split extension over them, and the first-projection
     retraction."""
 
-    action: InverseAction
-    carrier: tuple
-    extension: SplitExtension
-    retraction: SchreierRetraction
+    _fields = ("action", "carrier", "extension", "retraction")
+
+    def __init__(self, action: InverseAction, carrier: tuple, extension: SplitExtension,
+                 retraction: SchreierRetraction):
+        _set(self, "action", action)
+        _set(self, "carrier", carrier)
+        _set(self, "extension", extension)
+        _set(self, "retraction", retraction)
 
     @property
     def monoid(self) -> FiniteMonoid:

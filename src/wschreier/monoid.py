@@ -10,10 +10,9 @@ violated laws with witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, permutations
 from math import log10
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 __all__ = [
     "FormatError",
@@ -77,12 +76,58 @@ def _decimal(n: int) -> str:
         return "10^%d" % log10(n)
 
 
-@dataclass(frozen=True)
-class Violation:
+_set = object.__setattr__  # a record's field writes: a global read, no lookup on object
+
+
+class _Record:
+    """Base of the frozen value classes.
+
+    A subclass names its fields in order in _fields and writes a plain
+    __init__ that sets each once with _set (object.__setattr__), then calls
+    its __post_init__ if it has one.  ==, hash and repr follow the fields in
+    that order, and records of different classes are never equal.  What a
+    record keeps on itself later with object.__setattr__ (validate-once
+    results) takes no part in them.  Assigning or deleting an attribute
+    raises AttributeError.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join(["%s=%r" % (f, getattr(self, f)) for f in self._fields]),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class Violation(_Record):
     """A broken law together with the witnessing elements."""
 
-    law: str
-    witness: tuple = ()
+    _fields = ("law", "witness")
+
+    def __init__(self, law: str, witness: tuple = ()):
+        _set(self, "law", law)
+        _set(self, "witness", witness)
 
     def __str__(self):
         if not self.witness:
@@ -90,12 +135,14 @@ class Violation:
         return "%s: %s" % (self.law, " ".join(str(w) for w in self.witness))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of a law check: a validated value or the violations found."""
 
-    value: object = None
-    violations: tuple = ()
+    _fields = ("value", "violations")
+
+    def __init__(self, value: object = None, violations: tuple = ()):
+        _set(self, "value", value)
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -151,19 +198,23 @@ def _as_table(table) -> tuple:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteMonoid:
+class FiniteMonoid(_Record):
     """A monoid on indices 0..size-1 given by its Cayley table.
 
     elements is range(size), computed once; it takes no part in equality,
     hashing or repr.  inverse_structure and frames.check_frame keep their
-    label-free results on the instance the same way.
+    label-free results on the instance the same way.  Its own ==, hash and
+    repr leave the labels out.
     """
 
-    size: int
-    identity: int
-    table: tuple
-    labels: tuple | None = None
+    _fields = ("size", "identity", "table", "labels")
+
+    def __init__(self, size: int, identity: int, table: tuple, labels: tuple | None = None):
+        _set(self, "size", size)
+        _set(self, "identity", identity)
+        _set(self, "table", table)
+        _set(self, "labels", labels)
+        self.__post_init__()
 
     def __post_init__(self):
         validated = type(self.table) is _Rows
@@ -272,12 +323,14 @@ def center(M: FiniteMonoid) -> tuple:
     return tuple(a for a in M.elements if all(t[a][b] == t[b][a] for b in M.elements))
 
 
-@dataclass(frozen=True)
-class InverseStructure:
+class InverseStructure(_Record):
     """A monoid in which every element has a unique generalized inverse."""
 
-    base: FiniteMonoid
-    inv: tuple
+    _fields = ("base", "inv")
+
+    def __init__(self, base: FiniteMonoid, inv: tuple):
+        _set(self, "base", base)
+        _set(self, "inv", inv)
 
     def inv_of(self, a: int) -> int:
         return self.inv[a]
@@ -331,14 +384,17 @@ def _inverse_laws(M: FiniteMonoid) -> tuple:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class MonoidHom:
+class MonoidHom(_Record):
     """A map between monoids, a plain tuple over the source.  A _Cells map, read
     off the target's validated table, skips the range check but not the length."""
 
-    source: FiniteMonoid
-    target: FiniteMonoid
-    map: tuple
+    _fields = ("source", "target", "map")
+
+    def __init__(self, source: FiniteMonoid, target: FiniteMonoid, map: tuple):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "map", map)
+        self.__post_init__()
 
     def __post_init__(self):
         m = tuple(self.map)
@@ -410,12 +466,15 @@ def _normalize_classes(ids) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(_Record):
     """A multiplication-stable partition, stored as class ids per element."""
 
-    base: FiniteMonoid
-    class_id: tuple
+    _fields = ("base", "class_id")
+
+    def __init__(self, base: FiniteMonoid, class_id: tuple):
+        _set(self, "base", base)
+        _set(self, "class_id", class_id)
+        self.__post_init__()
 
     def __post_init__(self):
         ids = tuple(self.class_id)

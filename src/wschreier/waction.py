@@ -30,7 +30,6 @@ actions drawn only from the least members of fiber classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .monoid import (
@@ -40,10 +39,12 @@ from .monoid import (
     FormatError,
     Verdict,
     Violation,
+    _Record,
     _bad_cell,
     _cell_search,
     _decimal,
     _normalize_classes,
+    _set,
 )
 from .extension import SchreierRetraction, SplitExtension, _extension_on_carrier
 
@@ -67,8 +68,7 @@ __all__ = [
 DEFAULT_BOUND = 9
 
 
-@dataclass(frozen=True)
-class AdmissibleRelation:
+class AdmissibleRelation(_Record):
     """Per-fiber partitions of N indexed by elements of H.
 
     fibers[h][n] is the class id of n in the fiber over h; class ids are
@@ -76,9 +76,13 @@ class AdmissibleRelation:
     the fibers field.  Cross-component pairs are unrelated by construction.
     """
 
-    N: FiniteMonoid
-    H: FiniteMonoid
-    fibers: tuple
+    _fields = ("N", "H", "fibers")
+
+    def __init__(self, N: FiniteMonoid, H: FiniteMonoid, fibers: tuple):
+        _set(self, "N", N)
+        _set(self, "H", H)
+        _set(self, "fibers", fibers)
+        self.__post_init__()
 
     def __post_init__(self):
         fibers = tuple(tuple(f) for f in self.fibers)
@@ -129,13 +133,16 @@ def check_admissible(E: AdmissibleRelation) -> Verdict:
     return Verdict(E)
 
 
-@dataclass(frozen=True)
-class ActionTable:
+class ActionTable(_Record):
     """A raw table act[h][n] in N, prior to any law being imposed."""
 
-    N: FiniteMonoid
-    H: FiniteMonoid
-    act: tuple
+    _fields = ("N", "H", "act")
+
+    def __init__(self, N: FiniteMonoid, H: FiniteMonoid, act: tuple):
+        _set(self, "N", N)
+        _set(self, "H", H)
+        _set(self, "act", act)
+        self.__post_init__()
 
     def __post_init__(self):
         act = tuple(tuple(row) for row in self.act)
@@ -230,12 +237,15 @@ def actions_equivalent(E: AdmissibleRelation, a: ActionTable, b: ActionTable) ->
     return action_signature(E, a) == action_signature(E, b)
 
 
-@dataclass(frozen=True)
-class WActPair:
+class WActPair(_Record):
     """An admissible relation together with a compatible action."""
 
-    E: AdmissibleRelation
-    alpha: ActionTable
+    _fields = ("E", "alpha")
+
+    def __init__(self, E: AdmissibleRelation, alpha: ActionTable):
+        _set(self, "E", E)
+        _set(self, "alpha", alpha)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.alpha.N != self.E.N or self.alpha.H != self.E.H:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import replace
 
 import pytest
 
 from wschreier import frames as frames_mod, waction as waction_mod
 from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
-from wschreier.extension import _extension_on_carrier, direct_product_extension
+from wschreier.extension import SplitExtension, _extension_on_carrier, direct_product_extension
 from wschreier.frames import FiniteFrame
 from wschreier.monoid import (
     BoundExceeded,
@@ -962,12 +961,12 @@ def extension_mutants(N, H):
         for h in H.elements:
             if h != base.e.map[g]:
                 e = base.e.map[:g] + (h,) + base.e.map[g + 1 :]
-                yield replace(base, e=MonoidHom(G, H, e))
+                yield SplitExtension(base.N, G, base.H, base.k, MonoidHom(G, H, e), base.s)
     for h in H.elements:
         for g in G.elements:
             if g != base.s.map[h]:
                 s = base.s.map[:h] + (g,) + base.s.map[h + 1 :]
-                yield replace(base, s=MonoidHom(H, G, s))
+                yield SplitExtension(base.N, G, base.H, base.k, base.e, MonoidHom(H, G, s))
 
 
 def reference_waction_leq(p1, p2) -> bool:

@@ -1,7 +1,8 @@
 """The public API, frozen: each module's sorted __all__, every name in it
 resolving, and the package re-exporting each library name.  A change that
 removes code must keep this surface; a change that means to alter it edits
-the table below."""
+the table below.  The value classes keep their fields, in order, and stay
+frozen."""
 
 import importlib
 import json
@@ -13,6 +14,17 @@ import types
 import pytest
 
 import wschreier
+from wschreier.catalog import catalog_inverse_monoids, chain_lattice, cyclic_group
+from wschreier.extension import SchreierRetraction, SplitExtension
+from wschreier.frames import FiniteFrame, check_frame
+from wschreier.lambda_product import (
+    InverseAction, LambdaProduct, enumerate_inverse_actions, lambda_product,
+)
+from wschreier.monoid import (
+    Congruence, FiniteMonoid, InverseStructure, MonoidHom, Verdict, Violation,
+    check_monoid, congruence_closure,
+)
+from wschreier.waction import ActionTable, AdmissibleRelation, WActPair, extract_waction
 
 API = {
     "monoid": [
@@ -151,3 +163,85 @@ def test_unknown_name_is_an_attribute_error():
         "try:\n    wschreier.no_such_name\nexcept AttributeError as exc:\n    out = str(exc)\n"
         "print(json.dumps([out, hasattr(wschreier, 'check_monoid')]))"
     ) == ["module 'wschreier' has no attribute 'no_such_name'", True]
+
+
+# The frozen value classes: their constructor parameters are their fields, in
+# order.  FiniteMonoid keeps its own ==, hash and repr: size, identity and
+# table decide equality, and repr shows the size and identity alone.
+RECORDS = {
+    Violation: ("law", "witness"),
+    Verdict: ("value", "violations"),
+    FiniteMonoid: ("size", "identity", "table", "labels"),
+    InverseStructure: ("base", "inv"),
+    MonoidHom: ("source", "target", "map"),
+    Congruence: ("base", "class_id"),
+    AdmissibleRelation: ("N", "H", "fibers"),
+    ActionTable: ("N", "H", "act"),
+    WActPair: ("E", "alpha"),
+    SplitExtension: ("N", "G", "H", "k", "e", "s"),
+    SchreierRetraction: ("ext", "q"),
+    InverseAction: ("N", "H", "act"),
+    LambdaProduct: ("action", "carrier", "extension", "retraction"),
+    FiniteFrame: ("base", "leq", "join", "bottom"),
+}
+
+
+def record_samples():
+    """Instances of each class as the library makes them, from the
+    λ-products over the inverse monoids of size 2."""
+    two = [iv for iv in catalog_inverse_monoids(2) if iv.base.size == 2]
+    lams = [lambda_product(a) for N in two for H in two for a in enumerate_inverse_actions(N, H)]
+    exts = [lam.extension for lam in lams]
+    pairs = [extract_waction(lam.extension, lam.retraction) for lam in lams]
+    verdicts = [check_monoid(((0, 1), (1, 0)), 1), check_monoid(((0, 0), (0, 0)))]
+    verdicts += [check_frame(M) for M in (chain_lattice(2), chain_lattice(3), cyclic_group(2))]
+    return {
+        Violation: [v for verdict in verdicts for v in verdict.violations],
+        Verdict: verdicts,
+        FiniteMonoid: [ext.G for ext in exts] + [chain_lattice(3)],
+        InverseStructure: two,
+        MonoidHom: [f for ext in exts for f in (ext.k, ext.e, ext.s)],
+        Congruence: [congruence_closure(exts[0].G, [(0, g)]) for g in exts[0].G.elements],
+        AdmissibleRelation: [p.E for p in pairs],
+        ActionTable: [p.alpha for p in pairs],
+        WActPair: pairs,
+        SplitExtension: exts,
+        SchreierRetraction: [lam.retraction for lam in lams],
+        InverseAction: [lam.action for lam in lams],
+        LambdaProduct: lams,
+        FiniteFrame: [v.value for v in verdicts if isinstance(v.value, FiniteFrame)],
+    }
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_are_frozen_values(cls):
+    """Each value class builds by keyword; ==, hash and repr follow its
+    fields in order; an attribute kept with object.__setattr__ changes none
+    of them; assigning or deleting an attribute raises AttributeError."""
+    fields = RECORDS[cls]
+    eq_fields, repr_fields = fields, fields
+    if cls is FiniteMonoid:
+        eq_fields, repr_fields = fields[:3], fields[:2]
+
+    def key(x):
+        return tuple(getattr(x, f) for f in eq_fields)
+
+    xs = record_samples()[cls]
+    for x in xs:
+        y = cls(**{f: getattr(x, f) for f in fields})
+        assert y is not x and y == x and hash(y) == hash(x) == hash(key(x))
+        shown = ", ".join("%s=%r" % (f, getattr(x, f)) for f in repr_fields)
+        assert repr(y) == repr(x) == "%s(%s)" % (cls.__name__, shown)
+        assert x.__eq__(object()) is NotImplemented
+        object.__setattr__(y, "_kept", object())
+        assert y == x and x == y and hash(y) == hash(x) and repr(y) == repr(x)
+        for name in fields + ("_kept", "other"):
+            with pytest.raises(AttributeError):
+                setattr(y, name, None)
+            with pytest.raises(AttributeError):
+                delattr(y, name)
+        assert key(y) == key(x)
+    assert len({key(x) for x in xs}) > 1
+    for x in xs:
+        for z in xs:
+            assert (x == z) == (key(x) == key(z))

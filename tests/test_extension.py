@@ -1,5 +1,4 @@
 import importlib
-from dataclasses import fields, replace
 
 import pytest
 
@@ -311,21 +310,21 @@ class TestFactorTable:
                 tuple(t[ext.k.map[n]][ext.s.map[h]] for n in ext.N.elements)
                 for h in ext.H.elements
             )
-        assert "ks" not in {f.name for f in fields(SplitExtension)}
+        assert "ks" not in SplitExtension._fields
         assert "ks" not in repr(product_ext)
         other = verify_split_extension(direct_product_extension(sl2, sl2)).value
         assert other == product_ext and hash(other) == hash(product_ext)
 
     def test_candidates_are_derived_once(self, product_ext, glued_chain, diagonal_section):
         for ext in (product_ext, glued_chain, diagonal_section):
-            fresh = replace(ext)
+            fresh = SplitExtension(ext.N, ext.G, ext.H, ext.k, ext.e, ext.s)
             assert not hasattr(fresh, "_cands")
             before = (hash(fresh), repr(fresh))
             cands = retraction_candidates(fresh)
             assert retraction_candidates(fresh) is cands
             assert cands == reference_retraction_candidates(fresh)
             assert fresh == ext and (hash(fresh), repr(fresh)) == before == (hash(ext), repr(ext))
-            assert "_cands" not in {f.name for f in fields(SplitExtension)}
+            assert "_cands" not in SplitExtension._fields
 
     def check_against_references(self, exts):
         """Candidates of each extension, and morphisms between every ordered
@@ -403,8 +402,8 @@ class TestDerivedFlags:
     table.  Neither takes part in equality, hashing or repr."""
 
     def test_neither_is_a_field(self):
-        assert [f.name for f in fields(SplitExtension)] == ["N", "G", "H", "k", "e", "s"]
-        assert [f.name for f in fields(SchreierRetraction)] == ["ext", "q"]
+        assert SplitExtension._fields == ("N", "G", "H", "k", "e", "s")
+        assert SchreierRetraction._fields == ("ext", "q")
 
     def test_verify_marks_and_returns_the_instance(self, sl2):
         ext = direct_product_extension(sl2, sl2)
@@ -542,10 +541,14 @@ class TestShapeErrors:
     # product extension with N the 2-chain and H the 3-chain (|G| = 6).
     CASES = [
         pytest.param(
-            lambda ext: replace(ext, e=identity_hom(ext.G)), "e must map G onto H", id="e"
+            lambda ext: SplitExtension(ext.N, ext.G, ext.H, ext.k, identity_hom(ext.G), ext.s),
+            "e must map G onto H",
+            id="e",
         ),
         pytest.param(
-            lambda ext: replace(ext, s=identity_hom(ext.G)), "s must map H into G", id="s"
+            lambda ext: SplitExtension(ext.N, ext.G, ext.H, ext.k, ext.e, identity_hom(ext.G)),
+            "s must map H into G",
+            id="s",
         ),
         pytest.param(
             lambda ext: SchreierRetraction(ext, (0,)),

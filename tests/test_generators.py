@@ -21,7 +21,6 @@ builder falls back to the full associativity check.
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -40,7 +39,7 @@ from wschreier.catalog import (
     chain_lattice,
     commutative_idempotent_monoids,
 )
-from wschreier.extension import _extension_on_carrier, verify_split_extension
+from wschreier.extension import SplitExtension, _extension_on_carrier, verify_split_extension
 from wschreier.frames import _frame_laws, _glueing, check_frame
 from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.monoid import (
@@ -128,7 +127,7 @@ class TestSplitExtension:
         for _, _, ext in built:
             for _ in range(MUTANTS):
                 e = one_cell_mutant((ext.e.map,), rng, ext.H.size)[0]
-                bad = replace(ext, e=MonoidHom(ext.G, ext.H, e))
+                bad = SplitExtension(ext.N, ext.G, ext.H, ext.k, MonoidHom(ext.G, ext.H, e), ext.s)
                 assert len(set().union(*bad.ks)) == bad.G.size
                 got = verify_split_extension(bad)
                 assert got == reference_verify_split_extension(bad)
