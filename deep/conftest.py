@@ -14,7 +14,7 @@ from wschreier.catalog import (
     catalog_monoids,
     commutative_idempotent_monoids,
 )
-from wschreier.frames import _glueing, check_frame
+from wschreier.frames import _glueing_parts, artin_glueing, check_frame
 from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.monoid import FiniteMonoid, canonical_form
 
@@ -51,7 +51,12 @@ def lambdas():
 def glued():
     """(extension, carrier) of the 1093 glueings of commutative_idempotent_monoids(5)."""
     frames = [M for M in commutative_idempotent_monoids(5) if check_frame(M).ok]
-    return [_glueing(f)[1:] for H in frames for N in frames for f in all_homs(H, N)]
+    return [
+        (artin_glueing(f)[1], _glueing_parts(f)[0])
+        for H in frames
+        for N in frames
+        for f in all_homs(H, N)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -57,7 +57,7 @@ def _bound() -> int:
         from .waction import DEFAULT_BOUND
 
         return DEFAULT_BOUND
-    bound = wio._integer(raw)
+    bound = wio._integer(raw.strip())
     if bound is None:
         raise FormatError("WSCHREIER_BOUND must be an integer, got %r" % raw)
     return bound
@@ -415,4 +415,17 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    """run, with stdout flushed before it returns or exits (argparse's
+    --help and usage errors exit).  A reader that has gone (BrokenPipeError)
+    ends in exit 2, as any OSError in run does, and fd 1 then points at
+    os.devnull, so the flush at shutdown writes nothing and reports nothing."""
+    try:
+        try:
+            return run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2

@@ -13,8 +13,11 @@ product of the action h.n = f(h) meet n, and pointwise meet of maps gives
 the join of glueings.  artin_glueing builds its own carrier and meet and
 hands them to the extension builder shared with lambda_product and
 build_extension (extension._extension_on_carrier), which also checks that
-(n, h) -> n is a Schreier retraction, so glueing_equals_lambda compares two
-independent constructions.
+(n, h) -> n is a Schreier retraction.  glueing_equals_lambda builds the
+glueing's carrier and meet the same way, but compares them, as pairs, with
+the lambda product's verified extension instead of building them a second
+time; the builder is deterministic, so each law of the structure it vouches
+for, the glued frame's included, is checked once.
 
 Frames and meet-homs are validated once per instance.  check_frame keeps its
 label-free result on the FiniteMonoid, and the glueing functions keep a
@@ -159,22 +162,28 @@ def _require_frames(f: MonoidHom):
     return f.target._frame
 
 
-def _glueing(f: MonoidHom):
-    """The glueing frame, its extension and its carrier pairs, with the
-    frames and f validated first."""
+def _glueing_parts(f: MonoidHom):
+    """The glueing's carrier pairs, their products as pairs and the pairs of
+    s, as the extension builder takes them, with the frames and f validated
+    first."""
     leq = _require_frames(f)[0]
     H, N = f.source, f.target
     tn, th = N.table, H.table
     carrier = tuple([(n, h) for h in H.elements for n in N.elements if leq[n][f.map[h]]])
     products = [[(tn[n1][n2], th[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
     s = [(f.map[h], h) for h in H.elements]
-    ext, _ = _extension_on_carrier(N, H, carrier, products, s, "glueing")
+    return carrier, products, s
+
+
+def _glued_frame(ext):
+    """The frame of a glueing's verified extension, whose laws are checked
+    here (ConsistencyError on a failure)."""
     # the builder checked that k(N), s(H) generate; check_frame reads the kept data
     _frame_data(ext.G, set(ext.k.map).union(ext.s.map))
     glued = check_frame(ext.G)
     if not glued.ok:
         raise ConsistencyError("glueing carrier fails frame laws: %s" % (glued.violations[0],))
-    return glued.value, ext, carrier
+    return glued.value
 
 
 def artin_glueing(f: MonoidHom):
@@ -186,24 +195,35 @@ def artin_glueing(f: MonoidHom):
     (FiniteFrame, SplitExtension); the frame laws of the carrier are
     re-checked and a failure raises ConsistencyError.
     """
-    frame, ext, _ = _glueing(f)
-    return frame, ext
+    carrier, products, s = _glueing_parts(f)
+    ext, _ = _extension_on_carrier(f.target, f.source, carrier, products, s, "glueing")
+    return _glued_frame(ext), ext
 
 
 def glueing_equals_lambda(f: MonoidHom) -> bool:
     """The glueing of f and the lambda product of h.n = f(h) meet n are the
     same labelled structure: same carrier pairs in the same order, same
-    table, and the same k, e, s maps."""
-    _, ext, carrier = _glueing(f)
+    table, and the same k, e, s maps.
+
+    lambda_product builds and verifies its extension of H by N.  The
+    glueing's carrier, its products and its s, all as pairs, are compared
+    with that extension's carrier, table and s read back as pairs.  The
+    builder is deterministic in N, H and these three, and derives k, e, the
+    identity and the labels from them, so on a match the glueing's own build
+    would be that extension: its frame laws are checked on it, once.  A
+    mismatch returns False, with no second build.
+    """
+    carrier, products, s = _glueing_parts(f)
     lam: LambdaProduct = lambda_product(artin_like_action(f))
-    return (
-        lam.carrier == carrier
-        and lam.extension.G.table == ext.G.table
-        and lam.extension.G.identity == ext.G.identity
-        and lam.extension.k.map == ext.k.map
-        and lam.extension.e.map == ext.e.map
-        and lam.extension.s.map == ext.s.map
-    )
+    ext, pairs = lam.extension, lam.carrier
+    if (
+        pairs != carrier
+        or [[pairs[x] for x in row] for row in ext.G.table] != products
+        or [pairs[x] for x in ext.s.map] != s
+    ):
+        return False
+    _glued_frame(ext)
+    return True
 
 
 def glueing_join(f: MonoidHom, g: MonoidHom) -> MonoidHom:

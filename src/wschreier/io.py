@@ -120,9 +120,10 @@ class _Lines:
 
 
 def _integer(text):
-    """The integer of a text that is an optional - and ASCII digits, inside
-    the whitespace that int() ignores (no +, _ or other digits); else None."""
-    digits = text.strip().lstrip("-")
+    """The integer of a text that is exactly an optional - and ASCII digits
+    (no whitespace, +, _ or other digits, all of which int() would read),
+    within int()'s limit on digits; else None."""
+    digits = text[1:] if text[:1] == "-" else text
     try:
         if digits.isascii() and digits.isdigit():
             return int(text)

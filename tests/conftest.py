@@ -15,7 +15,7 @@ import pytest
 from wschreier import frames as frames_mod, waction as waction_mod
 from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
 from wschreier.extension import SplitExtension, _extension_on_carrier, direct_product_extension
-from wschreier.frames import FiniteFrame
+from wschreier.frames import FiniteFrame, artin_glueing
 from wschreier.monoid import (
     BoundExceeded,
     Congruence,
@@ -30,7 +30,7 @@ from wschreier.monoid import (
     generating_plan,
     inverse_structure,
 )
-from wschreier.lambda_product import InverseAction
+from wschreier.lambda_product import InverseAction, artin_like_action, lambda_product
 from wschreier.waction import (
     DEFAULT_BOUND,
     ActionTable,
@@ -414,6 +414,30 @@ def reference_check_frame(M):
         if leq[a][bottom]:
             bottom = a
     return Verdict(FiniteFrame(M, leq, join, bottom))
+
+
+def reference_glueing_equals_lambda(f) -> bool:
+    """The two-build route that comparing the glueing's parts with the lambda
+    product replaced, kept as its reference: artin_glueing and lambda_product
+    each build and verify an extension.  The lambda product's carrier must
+    be the glueing's by definition, {(n, h) : n <= f(h)} h-major, and the
+    two extensions must have the same labels, table, identity, k, e and s."""
+    _, ext = artin_glueing(f)
+    lam = lambda_product(artin_like_action(f))
+    H, N = f.source, f.target
+    carrier = tuple(
+        (n, h) for h in H.elements for n in N.elements if N.table[n][f.map[h]] == n
+    )
+    other = lam.extension
+    return (
+        lam.carrier == carrier
+        and other.G.labels == ext.G.labels
+        and other.G.table == ext.G.table
+        and other.G.identity == ext.G.identity
+        and other.k.map == ext.k.map
+        and other.e.map == ext.e.map
+        and other.s.map == ext.s.map
+    )
 
 
 # ---------------------------------------------------------------------------

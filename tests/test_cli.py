@@ -707,6 +707,32 @@ class TestSubprocess:
         assert "4:9" in proc.stdout
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "sl3.mon"], ["enumerate", "sl3.mon", "sl2.mon", "--wactions"]],
+        ids=["check", "enumerate"],
+    )
+    def test_closed_stdout_exits_2(self, files, argv, unbuffered):
+        """A reader gone before the first write: exit 2, as for any OSError,
+        and nothing on stderr, whether print or the flush at exit meets the
+        broken pipe."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(io.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wschreier", *argv],
+                stdout=w, stderr=subprocess.PIPE, cwd=files, env=env,
+            )
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (2, b"")
+
     def test_output_independent_of_hash_seed(self, files):
         argv = [
             sys.executable,

@@ -10,6 +10,7 @@ from conftest import (
     fresh,
     naive_is_hom,
     reference_check_frame,
+    reference_glueing_equals_lambda,
     reference_hom_violation,
     reference_waction_leq,
     relabelled,
@@ -310,6 +311,60 @@ class TestGlueingEqualsLambda:
         for _ in range(2):
             lambda_product(direct)
         assert len(calls) == len(homs) + 3
+
+    def test_agrees_with_two_builds_on_catalog_frames(self):
+        frames = [M for M in commutative_idempotent_monoids(5) if check_frame(M).ok]
+        homs = [f for H in frames for N in frames for f in all_homs(H, N)]
+        assert len(frames) == 8 and len(homs) == 1093
+        for f in homs:
+            assert (glueing_equals_lambda(f), reference_glueing_equals_lambda(f)) == (True, True)
+
+    def test_one_build_and_one_frame_check_per_call(self, monkeypatch, sl2, sl3):
+        """The lambda product is the one extension built, and the glued frame
+        laws run once, on it; artin_glueing still builds its own."""
+        diamond = diamond_lattice()
+        for M in (sl2, sl3, diamond):
+            assert check_frame(M).ok
+        homs = all_homs(sl2, sl3) + all_homs(sl3, sl2) + all_homs(sl2, diamond)
+        glued = counting(monkeypatch, frames_mod, "_extension_on_carrier")
+        built = counting(monkeypatch, lambda_mod, "_extension_on_carrier")
+        laws = counting(monkeypatch, frames_mod, "_frame_laws")
+        for f in homs:
+            assert glueing_equals_lambda(f)
+        assert (len(glued), len(built), len(laws)) == (0, len(homs), len(homs))
+        for f in homs:
+            artin_glueing(f)
+        assert (len(glued), len(built), len(laws)) == (len(homs), len(homs), 2 * len(homs))
+
+    @pytest.mark.parametrize("part", ["carrier", "products", "s"])
+    def test_changed_glueing_part_is_false(self, monkeypatch, sl2, sl3, part):
+        """One pair of the glueing's parts changed: False, with no second
+        build and no frame check."""
+        real = frames_mod._glueing_parts
+
+        def changed(f):
+            carrier, products, s = real(f)
+            if part == "carrier":
+                carrier = (carrier[1], carrier[0]) + carrier[2:]
+            elif part == "products":
+                products[2][3] = next(p for p in carrier if p != products[2][3])
+            else:
+                s[1] = next(p for p in carrier if p != s[1])
+            return carrier, products, s
+
+        f = MonoidHom(sl2, sl3, (0, 1))
+        assert glueing_equals_lambda(f)
+        monkeypatch.setattr(frames_mod, "_glueing_parts", changed)
+        glued = counting(monkeypatch, frames_mod, "_extension_on_carrier")
+        built = counting(monkeypatch, lambda_mod, "_extension_on_carrier")
+        laws = counting(monkeypatch, frames_mod, "_frame_laws")
+        assert glueing_equals_lambda(f) is False
+        assert (len(glued), len(built), len(laws)) == (0, 1, 0)
+
+    def test_carrier_failing_frame_laws_is_internal(self, sl2, sl3, broken_frame_laws):
+        message = "^glueing carrier fails frame laws: distributive: 0 1 2$"
+        with pytest.raises(ConsistencyError, match=message):
+            glueing_equals_lambda(MonoidHom(sl2, sl3, (0, 1)))
 
 
 class TestGlueingJoin:

@@ -40,7 +40,7 @@ from wschreier.catalog import (
     commutative_idempotent_monoids,
 )
 from wschreier.extension import SplitExtension, _extension_on_carrier, verify_split_extension
-from wschreier.frames import _frame_laws, _glueing, check_frame
+from wschreier.frames import _frame_laws, _glueing_parts, artin_glueing, check_frame
 from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.monoid import (
     ConsistencyError,
@@ -75,8 +75,7 @@ def built():
     for H in frames:
         for N in frames:
             for f in all_homs(H, N):
-                _, ext, carrier = _glueing(f)
-                out.append(("glueing", carrier, ext))
+                out.append(("glueing", _glueing_parts(f)[0], artin_glueing(f)[1]))
     return out
 
 

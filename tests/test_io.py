@@ -440,11 +440,12 @@ class TestLineBreaks:
         with pytest.raises(ParseError) as info:
             load_monoid(path)
         where = (info.value.line, info.value.col)
-        if lineno == 3 or char != "\x1c":
+        if lineno == 3:
             assert where == (5, 1)
             assert "expected 1 labels, got 2" in str(info.value)
         else:
-            # int() does not strip \x1c, so the edited line is rejected itself
+            # an index token is exactly an optional - and ASCII digits, so the
+            # edited line is rejected itself
             assert info.value.line == lineno
 
     @pytest.mark.parametrize("char", BREAKS, ids=repr)
@@ -502,6 +503,15 @@ class TestShapeErrors:
         ("spaced.ext", load_extension,
          "extension e\nN sl2.mon\nG sl3.mon\nH sl2.mon\nk:  0    x\n", 5, 10,
          "map entry must be an integer, got 'x'"),
+        # past int()'s limit on digits (4300 by default)
+        ("long.mon", load_monoid, "monoid a %s\n" % ("1" * 5000), 1, 10,
+         "size must be an integer, got '%s'" % ("1" * 5000)),
+    ] + [
+        # int() strips these at a token's edge; an index token holds none of them
+        ("%s.mon" % name, load_monoid, "monoid a 2\nidentity 0\nrow 0: 0 1%s\n" % char, 3, 10,
+         "table entry must be an integer, got %r" % ("1" + char))
+        for name, char in [("tab", "\t"), ("vt", "\v"), ("ff", "\f"), ("nel", "\x85"),
+                           ("nbsp", "\u00a0"), ("lsep", "\u2028")]
     ]
 
     @pytest.mark.parametrize("name, loader, text, line, col, message", CASES,
