@@ -341,8 +341,21 @@ def cmd_poset(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help or usage to
+    stdout is raised, where argparse drops it, so that main sees a closed
+    stdout; its subparsers are of this class too.  Writes to stderr are
+    argparse's own."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="wschreier", description=__doc__.split("\n")[0])
+    p = _Parser(prog="wschreier", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="verb", required=True)
 
     c = sub.add_parser("check", help="validate a monoid file")

@@ -27,7 +27,17 @@ passed too, so a marked hom skips the frame lookups.  Constructed outputs are
 new instances and are checked on every call: the glued frame, and the
 pointwise meet that glueing_join returns, whose map skips only the range check
 (join_hom).  The glued frame's laws are checked on its generators k(N) and
-s(H), in full on a failure; joins are read off up-set bitmasks.
+s(H), in full on a failure.
+
+A finite commutative idempotent monoid is a lattice, and its distributivity
+is decided from the meet table alone, in O(n^2) steps against the triple
+loop's O(n^3): a finite lattice is distributive iff every meet-irreducible
+element is meet-prime (Birkhoff; Davey and Priestley, Introduction to
+Lattices and Order, 2002).  Only a failure builds the join table, read off
+up-set bitmasks, and runs the loop for the first failing triple, so every
+law name and witness is the loop's.  check_frame derives the order and join
+table once the laws pass; glueing_equals_lambda, which returns no frame,
+builds them only on a failure.
 """
 
 from __future__ import annotations
@@ -79,12 +89,40 @@ class FiniteFrame(_Record):
         return self.leq[a][b]
 
 
+def _meet_primes(t, top) -> bool:
+    """Every meet-irreducible element of the meet table t, whose identity is
+    top, is meet-prime: for a finite lattice, that it is distributive.
+
+    m other than the top is meet-irreducible when the meet of the x strictly
+    above it is not m, and meet-prime when the x not below it (m*x != x) are
+    closed under meet, so when their meet is not below m either.  Both meets
+    are taken in one pass over those x; x > m is among them."""
+    for m, row in enumerate(t):
+        if m == top:
+            continue
+        above = outside = top
+        for x, mx in enumerate(row):
+            if mx != x:
+                outside = t[outside][x]
+                if mx == m:
+                    above = t[above][x]
+        if above != m and row[outside] == outside:
+            return False
+    return True
+
+
 def _frame_laws(M: FiniteMonoid, gens=None):
-    """(leq, join, bottom) of M, or the first Violation of the frame laws.
-    gens, when given, generate M: only they are checked for idempotence,
-    commutativity and as the outer a of distributivity (monoid.check_monoid's
-    closure lemma), and a violation reruns the full check."""
-    t, n = M.table, M.size
+    """The first Violation of the frame laws by M, or None.
+
+    gens, when given, generate M: only they are checked for idempotence and
+    commutativity (monoid.check_monoid's closure lemma), and a violation
+    reruns the full check.  M is then a finite lattice, distributive iff
+    every meet-irreducible element is meet-prime (Birkhoff; Davey and
+    Priestley, Introduction to Lattices and Order, 2002), which _meet_primes
+    decides from the meet table.  Only a failure builds the join table and
+    runs the (a, b, c) loop, with the gens as the outer a, for the first
+    failing triple."""
+    t = M.table
     outer = M.elements if gens is None else tuple(gens)
 
     def fail(law, witness):
@@ -96,16 +134,9 @@ def _frame_laws(M: FiniteMonoid, gens=None):
         for b in outer[i + 1 :]:
             if t[a][b] != t[b][a]:
                 return fail("commutative", (a, b))
-    leq = tuple([tuple([x == a for x in t[a]]) for a in range(n)])
-    # a meet-semilattice now: the up-set of a v b, a bitmask, is up(a) & up(b)
-    bits = [1 << c for c in range(n)]
-    masks = [sum(compress(bits, above)) for above in leq]
-    by_mask = {m: a for a, m in enumerate(masks)}
-    try:
-        join = tuple([tuple([by_mask[ma & mb] for mb in masks]) for ma in masks])
-        bottom = by_mask[(1 << n) - 1]
-    except KeyError:
-        raise PreconditionError("frame laws of a table that is not associative") from None
+    if _meet_primes(t, M.identity):
+        return None
+    join, n = _order(M)[1], M.size
     # the failing triples are symmetric in b and c, and b = c never fails, so
     # the first one in (a, b, c) order has b < c
     for a in outer:
@@ -116,6 +147,23 @@ def _frame_laws(M: FiniteMonoid, gens=None):
             for c in range(b + 1, n):
                 if ta[jb[c]] != jab[ta[c]]:
                     return fail("distributive", (a, b, c))
+    return None
+
+
+def _order(M: FiniteMonoid):
+    """(leq, join, bottom) of M, a meet-semilattice with top; a table with
+    no join raises PreconditionError."""
+    t, n = M.table, M.size
+    leq = tuple([tuple([x == a for x in t[a]]) for a in range(n)])
+    # the up-set of a v b, a bitmask, is up(a) & up(b)
+    bits = [1 << c for c in range(n)]
+    masks = [sum(compress(bits, above)) for above in leq]
+    by_mask = {m: a for a, m in enumerate(masks)}
+    try:
+        join = tuple([tuple([by_mask[ma & mb] for mb in masks]) for ma in masks])
+        bottom = by_mask[(1 << n) - 1]
+    except KeyError:
+        raise PreconditionError("frame laws of a table that is not associative") from None
     return leq, join, bottom
 
 
@@ -123,12 +171,13 @@ def _frame_data(M: FiniteMonoid, gens=None):
     """(leq, join, bottom) of M, or the first Violation of the frame laws.
 
     Computed once per instance and kept on it as _frame, the way elements
-    is.  The data does not depend on the labels and holds no reference to M.
+    is; the order data is derived only once the laws pass.  The data does
+    not depend on the labels and holds no reference to M.
     """
     try:
         return M._frame
     except AttributeError:
-        data = _frame_laws(M, gens)
+        data = _frame_laws(M, gens) or _order(M)
         object.__setattr__(M, "_frame", data)
         return data
 
@@ -175,15 +224,14 @@ def _glueing_parts(f: MonoidHom):
     return carrier, products, s
 
 
-def _glued_frame(ext):
-    """The frame of a glueing's verified extension, whose laws are checked
-    here (ConsistencyError on a failure)."""
-    # the builder checked that k(N), s(H) generate; check_frame reads the kept data
-    _frame_data(ext.G, set(ext.k.map).union(ext.s.map))
-    glued = check_frame(ext.G)
-    if not glued.ok:
-        raise ConsistencyError("glueing carrier fails frame laws: %s" % (glued.violations[0],))
-    return glued.value
+def _glued_laws(ext, laws):
+    """laws(ext.G, k(N) | s(H)), _frame_laws or _frame_data, for a glueing's
+    verified extension, whose builder checked that k(N), s(H) generate; a
+    Violation raises ConsistencyError."""
+    data = laws(ext.G, set(ext.k.map).union(ext.s.map))
+    if isinstance(data, Violation):
+        raise ConsistencyError("glueing carrier fails frame laws: %s" % (data,))
+    return data
 
 
 def artin_glueing(f: MonoidHom):
@@ -197,7 +245,7 @@ def artin_glueing(f: MonoidHom):
     """
     carrier, products, s = _glueing_parts(f)
     ext, _ = _extension_on_carrier(f.target, f.source, carrier, products, s, "glueing")
-    return _glued_frame(ext), ext
+    return FiniteFrame(ext.G, *_glued_laws(ext, _frame_data)), ext
 
 
 def glueing_equals_lambda(f: MonoidHom) -> bool:
@@ -222,7 +270,7 @@ def glueing_equals_lambda(f: MonoidHom) -> bool:
         or [pairs[x] for x in ext.s.map] != s
     ):
         return False
-    _glued_frame(ext)
+    _glued_laws(ext, _frame_laws)
     return True
 
 

@@ -26,6 +26,7 @@ from wschreier.monoid import (
     PreconditionError,
     Verdict,
     Violation,
+    are_isomorphic,
     check_hom,
     generating_plan,
     inverse_structure,
@@ -377,40 +378,54 @@ def reference_inverse_actions(N, H, max_candidates: int = 10**7):
     return tuple(InverseAction(N, H, act) for act in found)
 
 
-def reference_check_frame(M):
-    """The frame check that computing joins as meets of upper bounds
-    replaced, kept as the reference for its verdict and first violation.
+def _reference_order(M):
+    """leq of M, a commutative idempotent table, and its join table: each
+    join is searched for among all upper bounds as the unique least one, and
+    is None where there is none."""
+    t, n = M.table, M.size
+    leq = tuple(tuple(t[a][b] == a for b in range(n)) for a in range(n))
 
-    Each join is searched for among all upper bounds as the unique least
-    one, and distributivity is checked over every triple.
-    """
-    t = M.table
-    n = M.size
+    def least_upper_bound(a, b):
+        ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
+        least = [c for c in ubs if all(leq[c][d] for d in ubs)]
+        return least[0] if len(least) == 1 else None
+
+    return leq, tuple(tuple(least_upper_bound(a, b) for b in range(n)) for a in range(n))
+
+
+def reference_frame_laws(M):
+    """The first Violation of the frame laws by M, or None, by brute force:
+    idempotence and commutativity on every element and pair, then
+    a(b v c) = ab v ac over every triple, with each join taken from the order
+    as the least common upper bound, not from frames' up-set masks.  A pair
+    with no least upper bound is a "join" violation."""
+    t, n = M.table, M.size
     for a in range(n):
         if t[a][a] != a:
-            return Verdict(None, (Violation("idempotent", (a,)),))
+            return Violation("idempotent", (a,))
         for b in range(a + 1, n):
             if t[a][b] != t[b][a]:
-                return Verdict(None, (Violation("commutative", (a, b)),))
-    leq = tuple(tuple(t[a][b] == a for b in range(n)) for a in range(n))
-    join_rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            least = [c for c in ubs if all(leq[c][d] for d in ubs)]
-            if len(least) != 1:
-                return Verdict(None, (Violation("join", (a, b)),))
-            row.append(least[0])
-        join_rows.append(tuple(row))
-    join = tuple(join_rows)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[a][join[b][c]] != join[t[a][b]][t[a][c]]:
-                    return Verdict(None, (Violation("distributive", (a, b, c)),))
+                return Violation("commutative", (a, b))
+    join = _reference_order(M)[1]
+    for a, b in itertools.product(range(n), repeat=2):
+        if join[a][b] is None:
+            return Violation("join", (a, b))
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if t[a][join[b][c]] != join[t[a][b]][t[a][c]]:
+            return Violation("distributive", (a, b, c))
+    return None
+
+
+def reference_check_frame(M):
+    """The frame check that computing joins as meets of upper bounds
+    replaced, kept as the reference for its verdict and first violation
+    (reference_frame_laws) and for its order, joins and bottom."""
+    violation = reference_frame_laws(M)
+    if violation is not None:
+        return Verdict(None, (violation,))
+    leq, join = _reference_order(M)
     bottom = 0
-    for a in range(n):
+    for a in range(M.size):
         if leq[a][bottom]:
             bottom = a
     return Verdict(FiniteFrame(M, leq, join, bottom))
@@ -593,6 +608,62 @@ def reference_lattice_tables(n: int):
         table = tuple(map(tuple, table))
         if _associative(table, n):
             yield table
+
+
+# ---------------------------------------------------------------------------
+# Birkhoff: every finite frame is the lattice of down-sets of a finite poset
+
+
+def downset_frame(below) -> FiniteMonoid:
+    """The frame of down-sets of a poset under intersection.  below[i] is the
+    set of points strictly below point i, transitively closed.  The down-sets
+    are the elements, largest first, so the whole poset is the top and the
+    identity 0."""
+    points = range(len(below))
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(points, k) for k in range(len(below) + 1)
+    )
+    downs = [D for D in map(frozenset, subsets) if all(below[x] <= D for x in D)]
+    downs.sort(key=lambda D: (-len(D), sorted(D)))
+    index = {D: i for i, D in enumerate(downs)}
+    return FiniteMonoid(len(downs), 0, tuple(tuple(index[D & E] for E in downs) for D in downs))
+
+
+def _bounded_posets(max_downsets: int):
+    """The posets with points 0..k-1, i below j only if i < j, that have at
+    most max_downsets down-sets, as below tuples.  Each new point is maximal,
+    strictly above one down-set D of the points before it; the down-sets then
+    gain E | {k} for each old down-set E that contains D."""
+    found = []
+
+    def grow(below, downs):
+        found.append(below)
+        for D in downs:
+            grown = [E | {len(below)} for E in downs if D <= E]
+            if len(downs) + len(grown) <= max_downsets:
+                grow(below + (D,), downs + grown)
+
+    grow((), [frozenset()])
+    return found
+
+
+def downset_frames(max_size: int) -> list:
+    """One downset_frame per isomorphism class with at most max_size
+    elements, ordered by size: by Birkhoff's theorem, one per finite frame.
+    Copies are removed with are_isomorphic among the frames with the same
+    multiset of (elements below, elements above) per element."""
+    buckets = {}
+    for below in _bounded_posets(max_size):
+        M = downset_frame(below)
+        t = M.table
+        key = sorted(
+            (sum(t[a][b] == b for b in M.elements), sum(t[a][b] == a for b in M.elements))
+            for a in M.elements
+        )
+        bucket = buckets.setdefault((M.size, tuple(key)), [])
+        if not any(are_isomorphic(M, other) for other in bucket):
+            bucket.append(M)
+    return sorted((M for bucket in buckets.values() for M in bucket), key=lambda M: M.size)
 
 
 def _set_partitions(n: int):

@@ -710,13 +710,18 @@ class TestSubprocess:
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize(
         "argv",
-        [["check", "sl3.mon"], ["enumerate", "sl3.mon", "sl2.mon", "--wactions"]],
-        ids=["check", "enumerate"],
+        [
+            ["check", "sl3.mon"],
+            ["enumerate", "sl3.mon", "sl2.mon", "--wactions"],
+            ["--help"],
+            ["check", "--help"],
+        ],
+        ids=["check", "enumerate", "help", "check-help"],
     )
     def test_closed_stdout_exits_2(self, files, argv, unbuffered):
         """A reader gone before the first write: exit 2, as for any OSError,
-        and nothing on stderr, whether print or the flush at exit meets the
-        broken pipe."""
+        and nothing on stderr, whether print, argparse's help or the flush at
+        exit meets the broken pipe."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(io.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         env.pop("PYTHONUNBUFFERED", None)

@@ -14,6 +14,7 @@ DEEP_TESTS = {
     "test_extensions.py": [
         "build", "candidates", "unique", "retraction", "morphisms", "leq", "verdicts",
     ],
+    "test_frames.py": ["downset_frames", "downset_glueings"],
     "test_homs.py": ["endomorphisms", "homs", "actions", "isomorphism"],
     "test_laws.py": ["monoid", "mutants", "closure", "generators"],
     "test_wactions.py": ["wactions"],
@@ -32,5 +33,5 @@ def test_deep_tier_collects():
     )
     assert p.returncode == 0, p.stdout + p.stderr
     ids = [line for line in p.stdout.splitlines() if "::" in line]
-    assert len(ids) == 17
+    assert len(ids) == 19
     assert ids == ["deep/%s::test_%s" % (m, t) for m, names in DEEP_TESTS.items() for t in names]

@@ -7,9 +7,11 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    downset_frames,
     fresh,
     naive_is_hom,
     reference_check_frame,
+    reference_frame_laws,
     reference_glueing_equals_lambda,
     reference_hom_violation,
     reference_waction_leq,
@@ -17,6 +19,7 @@ from conftest import (
 )
 from wschreier.catalog import (
     all_homs,
+    all_monoid_tables,
     catalog_monoids,
     chain_lattice,
     commutative_idempotent_monoids,
@@ -46,6 +49,8 @@ from wschreier.monoid import (
     FiniteMonoid,
     MonoidHom,
     PreconditionError,
+    Violation,
+    canonical_form,
     identity_hom,
 )
 from wschreier.waction import DEFAULT_BOUND, enumerate_wactions, waction_leq
@@ -147,6 +152,111 @@ class TestCheckFrameMatchesReference:
             laws[verdict.violations[0].law if verdict.violations else "ok"] += 1
         assert laws["distributive"] > 0 and laws["commutative"] > 0
         assert laws["idempotent"] > 0 and laws["ok"] > 0
+
+
+@pytest.fixture(scope="module")
+def lattices6():
+    """The 25 commutative idempotent monoids of size at most 6: the finite
+    lattices, 5 of size 5 and 15 of size 6; 13 of them are distributive."""
+    return commutative_idempotent_monoids(6)
+
+
+class TestFrameLawsMatchReference:
+    """_frame_laws decides distributivity by meet-primes and check_frame
+    reads its verdict; both name the brute-force oracle's first violation."""
+
+    @staticmethod
+    def assert_agree(M):
+        expected = reference_frame_laws(M)
+        assert frames_mod._frame_laws(M) == expected, M.table
+        assert check_frame(fresh(M)).violations == (() if expected is None else (expected,))
+        return expected
+
+    def test_on_the_lattices_of_size_at_most_6(self, lattices6):
+        laws = Counter()
+        for M in lattices6:
+            expected = self.assert_agree(M)
+            laws[expected.law if expected else "ok"] += 1
+        assert laws == {"ok": 13, "distributive": 12}
+
+    def test_meet_primes_decide_distributivity(self, lattices6):
+        """The meet-prime test alone gives the oracle's verdict on every
+        lattice, identity 0 or not, so a pass needs no triple loop."""
+        rng = random.Random(29)
+        for M in list(lattices6) + [relabelled(M, rng) for M in lattices6]:
+            distributive = reference_frame_laws(M) is None
+            assert frames_mod._meet_primes(M.table, M.identity) == distributive, M.table
+
+    def test_join_table_built_only_on_a_failure(self, monkeypatch, lattices6):
+        """_frame_laws builds the order data only for a violation, and
+        check_frame builds it once either way."""
+        orders = counting(monkeypatch, frames_mod, "_order")
+        for M in lattices6:
+            del orders[:]
+            failed = frames_mod._frame_laws(M) is not None
+            assert len(orders) == failed
+            check_frame(fresh(M))
+            assert len(orders) == failed + 1
+
+    def test_on_every_monoid_table_of_size_at_most_4(self):
+        laws = Counter()
+        for n in range(1, 5):
+            for table in all_monoid_tables(n):
+                expected = self.assert_agree(FiniteMonoid(n, 0, table))
+                laws[expected.law if expected else "ok"] += 1
+        assert laws == {"idempotent": 107, "commutative": 50, "ok": 13}
+
+
+class TestClauseWitnesses:
+    # (law, table, check_frame's witness): a monoid table that breaks this
+    # clause of check_frame and no other.  Distributivity is stated only on a
+    # lattice, so the first two break one of idempotence and commutativity
+    # and keep the other; M3 and the pentagon N5 are lattices.  The first two
+    # are the smallest by brute force over all_monoid_tables, and the lattices
+    # are the labelled ones of commutative_idempotent_monoids(5).
+    CASES = [
+        ("idempotent", ((0, 1), (1, 0)), (1,)),
+        ("commutative", ((0, 1, 2), (1, 1, 2), (2, 1, 2)), (1, 2)),
+        ("distributive",
+         ((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), (2, 1, 2, 1, 1), (3, 1, 1, 3, 1), (4, 1, 1, 1, 4)),
+         (2, 3, 4)),
+        ("distributive",
+         ((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), (2, 1, 2, 1, 1), (3, 1, 1, 3, 3), (4, 1, 1, 3, 4)),
+         (4, 2, 3)),
+    ]
+
+    @staticmethod
+    def broken_laws(M):
+        """The clauses that fail, each stated on its own over every instance;
+        distributivity through the oracle's least upper bounds."""
+        t, xs = M.table, M.elements
+        broken = set()
+        if any(t[a][a] != a for a in xs):
+            broken.add("idempotent")
+        if any(t[a][b] != t[b][a] for a in xs for b in xs):
+            broken.add("commutative")
+        if not broken and reference_frame_laws(M) is not None:
+            broken.add("distributive")
+        return broken
+
+    @pytest.mark.parametrize("law, table, witness", CASES, ids=["idempotent", "commutative", "m3", "n5"])
+    def test_clause_fails_alone(self, law, table, witness):
+        M = FiniteMonoid(len(table), 0, table)
+        assert self.broken_laws(M) == {law}
+        assert check_frame(M).violations == (Violation(law, witness),)
+        assert frames_mod._frame_laws(fresh(M)) == reference_frame_laws(M) == Violation(law, witness)
+
+
+class TestBirkhoffFrames:
+    def test_downset_frames_are_the_catalog_frames(self, lattices6):
+        """Every finite frame is the lattice of down-sets of a finite poset:
+        the down-set frames of size at most 6 are, up to isomorphism, the
+        lattices of that size that pass check_frame (OEIS A006982)."""
+        frames = downset_frames(6)
+        assert [M.size for M in frames] == [1, 2, 3, 4, 4, 5, 5, 5] + [6] * 5
+        assert all(check_frame(M).ok for M in frames)
+        catalog = [M for M in lattices6 if check_frame(M).ok]
+        assert sorted(map(canonical_form, frames)) == sorted(map(canonical_form, catalog))
 
 
 class TestValidateOnce:
