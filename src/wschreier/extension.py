@@ -61,25 +61,22 @@ class SplitExtension(_Record):
 
     def __init__(self, N: FiniteMonoid, G: FiniteMonoid, H: FiniteMonoid,
                  k: MonoidHom, e: MonoidHom, s: MonoidHom):
+        if k.source != N or k.target != G:
+            raise FormatError("k must map N into G")
+        if e.source != G or e.target != H:
+            raise FormatError("e must map G onto H")
+        if s.source != H or s.target != G:
+            raise FormatError("s must map H into G")
+        t = G.table
+        ks = tuple([tuple([t[kn][sh] for kn in k.map]) for sh in s.map])
         _set(self, "N", N)
         _set(self, "G", G)
         _set(self, "H", H)
         _set(self, "k", k)
         _set(self, "e", e)
         _set(self, "s", s)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.k.source != self.N or self.k.target != self.G:
-            raise FormatError("k must map N into G")
-        if self.e.source != self.G or self.e.target != self.H:
-            raise FormatError("e must map G onto H")
-        if self.s.source != self.H or self.s.target != self.G:
-            raise FormatError("s must map H into G")
-        t = self.G.table
-        ks = tuple([tuple([t[kn][sh] for kn in self.k.map]) for sh in self.s.map])
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "verified", False)
+        _set(self, "ks", ks)
+        _set(self, "verified", False)
 
 
 class SchreierRetraction(_Record):
@@ -92,13 +89,7 @@ class SchreierRetraction(_Record):
     _fields = ("ext", "q")
 
     def __init__(self, ext: SplitExtension, q: tuple):
-        _set(self, "ext", ext)
-        _set(self, "q", q)
-        self.__post_init__()
-
-    def __post_init__(self):
-        ext = self.ext
-        q = tuple(self.q)
+        q = tuple(q)
         if len(q) != ext.G.size:
             raise FormatError("retraction has %d entries, expected %d" % (len(q), ext.G.size))
         if (g := _bad_cell(q, ext.N.size)) is not None:
@@ -107,7 +98,8 @@ class SchreierRetraction(_Record):
         for g in ext.G.elements:
             if ks[e[g]][q[g]] != g:
                 raise FormatError("q(%d) = %d does not factor g" % (g, q[g]))
-        object.__setattr__(self, "q", q)
+        _set(self, "ext", ext)
+        _set(self, "q", q)
 
     @property
     def unique(self) -> bool:
@@ -162,7 +154,7 @@ def verify_split_extension(ext: SplitExtension) -> Verdict:
         return Verdict(None, (Violation("kernel-image", (g,)),))
     if not covered and not is_cokernel(ext.k, ext.e):
         return Verdict(None, (Violation("cokernel"),))
-    object.__setattr__(ext, "verified", True)
+    _set(ext, "verified", True)
     return Verdict(ext)
 
 
@@ -219,7 +211,7 @@ def retraction_candidates(ext: SplitExtension) -> tuple:
     if not hasattr(ext, "_cands"):
         ks, e = ext.ks, ext.e.map
         cands = [tuple([n for n, x in enumerate(ks[e[g]]) if x == g]) for g in ext.G.elements]
-        object.__setattr__(ext, "_cands", tuple(cands))
+        _set(ext, "_cands", tuple(cands))
     return ext._cands
 
 

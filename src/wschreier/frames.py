@@ -178,7 +178,7 @@ def _frame_data(M: FiniteMonoid, gens=None):
         return M._frame
     except AttributeError:
         data = _frame_laws(M, gens) or _order(M)
-        object.__setattr__(M, "_frame", data)
+        _set(M, "_frame", data)
         return data
 
 
@@ -207,7 +207,7 @@ def _require_frames(f: MonoidHom):
     check_frame(f.source).expect("check_frame(source)")
     check_frame(f.target).expect("check_frame(target)")
     _hom_laws(f).expect("check_hom")
-    object.__setattr__(f, "_meet_hom", True)
+    _set(f, "_meet_hom", True)
     return f.target._frame
 
 

@@ -66,13 +66,10 @@ class InverseAction(_Record):
     _fields = ("N", "H", "act")
 
     def __init__(self, N: InverseStructure, H: InverseStructure, act: tuple):
+        act = ActionTable(N.base, H.base, act).act
         _set(self, "N", N)
         _set(self, "H", H)
         _set(self, "act", act)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "act", ActionTable(self.N.base, self.H.base, self.act).act)
 
     def __call__(self, h: int, n: int) -> int:
         return self.act[h][n]

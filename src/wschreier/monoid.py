@@ -76,19 +76,21 @@ def _decimal(n: int) -> str:
         return "10^%d" % log10(n)
 
 
-_set = object.__setattr__  # a record's field writes: a global read, no lookup on object
+_set = object.__setattr__  # every write to a record: a global read, no lookup on object
 
 
 class _Record:
     """Base of the frozen value classes.
 
-    A subclass names its fields in order in _fields and writes a plain
-    __init__ that sets each once with _set (object.__setattr__), then calls
-    its __post_init__ if it has one.  ==, hash and repr follow the fields in
-    that order, and records of different classes are never equal.  What a
-    record keeps on itself later with object.__setattr__ (validate-once
-    results) takes no part in them.  Assigning or deleting an attribute
-    raises AttributeError.
+    A subclass names its fields in order in _fields.  Its __init__ checks
+    and normalises its arguments, so a bad one raises before anything is
+    written, then writes each field once with _set.  _set is the only way
+    anything writes to a record: its fields, what is derived with them
+    (FiniteMonoid.elements, SplitExtension.ks) and the results kept on it
+    later for validate-once (verified, _frame, _valid and the like).  ==,
+    hash and repr follow the fields in that order, and records of different
+    classes are never equal; nothing else takes part in them.  Assigning or
+    deleting an attribute raises AttributeError.
     """
 
     _fields = ()
@@ -210,27 +212,22 @@ class FiniteMonoid(_Record):
     _fields = ("size", "identity", "table", "labels")
 
     def __init__(self, size: int, identity: int, table: tuple, labels: tuple | None = None):
-        _set(self, "size", size)
+        validated = type(table) is _Rows
+        rows = tuple(table) if validated else _as_table(table)
+        n = len(rows)
+        if size != n:
+            raise FormatError("size %r does not match the %d rows" % (size, n))
+        if not validated and _bad_cell((identity,), n) is not None:
+            raise FormatError("identity index %r out of range" % (identity,))
+        if labels is not None:
+            labels = tuple([str(x) for x in labels])
+            if len(labels) != n:
+                raise FormatError("expected %d labels, got %d" % (n, len(labels)))
+        _set(self, "size", n)  # an equal 2.0 or True becomes an int
         _set(self, "identity", identity)
-        _set(self, "table", table)
+        _set(self, "table", rows)
         _set(self, "labels", labels)
-        self.__post_init__()
-
-    def __post_init__(self):
-        validated = type(self.table) is _Rows
-        rows = tuple(self.table) if validated else _as_table(self.table)
-        if self.size != len(rows):
-            raise FormatError("size %r does not match the %d rows" % (self.size, len(rows)))
-        object.__setattr__(self, "table", rows)
-        object.__setattr__(self, "size", len(rows))  # an equal 2.0 or True becomes an int
-        if not validated and _bad_cell((self.identity,), self.size) is not None:
-            raise FormatError("identity index %r out of range" % (self.identity,))
-        if self.labels is not None:
-            labels = tuple([str(x) for x in self.labels])
-            if len(labels) != self.size:
-                raise FormatError("expected %d labels, got %d" % (self.size, len(labels)))
-            object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "elements", range(self.size))
+        _set(self, "elements", range(n))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -354,7 +351,7 @@ def inverse_structure(M: FiniteMonoid) -> Verdict:
         inv = M._inverse
     except AttributeError:
         inv = _inverse_laws(M)
-        object.__setattr__(M, "_inverse", inv)
+        _set(M, "_inverse", inv)
     if type(inv[0]) is Violation:
         return Verdict(None, inv)
     return Verdict(InverseStructure(M, inv))
@@ -391,18 +388,14 @@ class MonoidHom(_Record):
     _fields = ("source", "target", "map")
 
     def __init__(self, source: FiniteMonoid, target: FiniteMonoid, map: tuple):
+        m = tuple(map)
+        if len(m) != source.size:
+            raise FormatError("hom map has %d entries, expected %d" % (len(m), source.size))
+        if type(map) is not _Cells and (i := _bad_cell(m, target.size)) is not None:
+            raise FormatError("hom image of %d is %r, out of range" % (i, m[i]))
         _set(self, "source", source)
         _set(self, "target", target)
-        _set(self, "map", map)
-        self.__post_init__()
-
-    def __post_init__(self):
-        m = tuple(self.map)
-        if len(m) != self.source.size:
-            raise FormatError("hom map has %d entries, expected %d" % (len(m), self.source.size))
-        if type(self.map) is not _Cells and (i := _bad_cell(m, self.target.size)) is not None:
-            raise FormatError("hom image of %d is %r, out of range" % (i, m[i]))
-        object.__setattr__(self, "map", m)
+        _set(self, "map", m)
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -472,15 +465,12 @@ class Congruence(_Record):
     _fields = ("base", "class_id")
 
     def __init__(self, base: FiniteMonoid, class_id: tuple):
-        _set(self, "base", base)
-        _set(self, "class_id", class_id)
-        self.__post_init__()
-
-    def __post_init__(self):
-        ids = tuple(self.class_id)
-        if len(ids) != self.base.size:
+        ids = tuple(class_id)
+        if len(ids) != base.size:
             raise FormatError("congruence over wrong carrier size")
-        object.__setattr__(self, "class_id", _normalize_classes(ids))
+        ids = _normalize_classes(ids)
+        _set(self, "base", base)
+        _set(self, "class_id", ids)
 
     @property
     def num_classes(self) -> int:

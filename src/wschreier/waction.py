@@ -79,19 +79,16 @@ class AdmissibleRelation(_Record):
     _fields = ("N", "H", "fibers")
 
     def __init__(self, N: FiniteMonoid, H: FiniteMonoid, fibers: tuple):
+        fibers = tuple(tuple(f) for f in fibers)
+        if len(fibers) != H.size:
+            raise FormatError("expected one fiber per element of H")
+        for f in fibers:
+            if len(f) != N.size:
+                raise FormatError("fiber partitions must cover N")
+        fibers = tuple(_normalize_classes(f) for f in fibers)
         _set(self, "N", N)
         _set(self, "H", H)
         _set(self, "fibers", fibers)
-        self.__post_init__()
-
-    def __post_init__(self):
-        fibers = tuple(tuple(f) for f in self.fibers)
-        if len(fibers) != self.H.size:
-            raise FormatError("expected one fiber per element of H")
-        for f in fibers:
-            if len(f) != self.N.size:
-                raise FormatError("fiber partitions must cover N")
-        object.__setattr__(self, "fibers", tuple(_normalize_classes(f) for f in fibers))
 
     @classmethod
     def discrete(cls, N: FiniteMonoid, H: FiniteMonoid) -> "AdmissibleRelation":
@@ -139,21 +136,17 @@ class ActionTable(_Record):
     _fields = ("N", "H", "act")
 
     def __init__(self, N: FiniteMonoid, H: FiniteMonoid, act: tuple):
+        act = tuple(tuple(row) for row in act)
+        if len(act) != H.size:
+            raise FormatError("expected one action row per element of H")
+        for row in act:
+            if len(row) != N.size:
+                raise FormatError("action rows must cover N")
+            if (j := _bad_cell(row, N.size)) is not None:
+                raise FormatError("action value %r out of range" % (row[j],))
         _set(self, "N", N)
         _set(self, "H", H)
         _set(self, "act", act)
-        self.__post_init__()
-
-    def __post_init__(self):
-        act = tuple(tuple(row) for row in self.act)
-        if len(act) != self.H.size:
-            raise FormatError("expected one action row per element of H")
-        for row in act:
-            if len(row) != self.N.size:
-                raise FormatError("action rows must cover N")
-            if (j := _bad_cell(row, self.N.size)) is not None:
-                raise FormatError("action value %r out of range" % (row[j],))
-        object.__setattr__(self, "act", act)
 
     def __call__(self, h: int, n: int) -> int:
         return self.act[h][n]
@@ -243,13 +236,10 @@ class WActPair(_Record):
     _fields = ("E", "alpha")
 
     def __init__(self, E: AdmissibleRelation, alpha: ActionTable):
+        if alpha.N != E.N or alpha.H != E.H:
+            raise FormatError("relation and action live over different monoids")
         _set(self, "E", E)
         _set(self, "alpha", alpha)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.alpha.N != self.E.N or self.alpha.H != self.E.H:
-            raise FormatError("relation and action live over different monoids")
 
     @property
     def N(self) -> FiniteMonoid:
@@ -261,7 +251,7 @@ class WActPair(_Record):
 
 
 def _checked(p):
-    object.__setattr__(p, "_valid", True)
+    _set(p, "_valid", True)
     return p
 
 
@@ -363,7 +353,7 @@ def _order_key(p: WActPair) -> tuple:
     F = tuple(F)
     R, A = (itemgetter(*R), itemgetter(*A)) if len(F) > 1 else (tuple, tuple)
     key = (F, R, A, A(F))
-    object.__setattr__(p, "_order", key)
+    _set(p, "_order", key)
     return key
 
 

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from wschreier import frames as frames_mod, waction as waction_mod
-from wschreier.catalog import chain_lattice, cyclic_group, trivial_monoid
+from wschreier.catalog import chain_lattice, cyclic_group, m3_lattice, trivial_monoid
 from wschreier.extension import SplitExtension, _extension_on_carrier, direct_product_extension
 from wschreier.frames import FiniteFrame, artin_glueing
 from wschreier.monoid import (
@@ -664,6 +664,53 @@ def downset_frames(max_size: int) -> list:
         if not any(are_isomorphic(M, other) for other in bucket):
             bucket.append(M)
     return sorted((M for bucket in buckets.values() for M in bucket), key=lambda M: M.size)
+
+
+# ---------------------------------------------------------------------------
+# non-distributive lattices past size 6, built from M3 and the pentagon N5
+
+N5_TABLE = ((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), (2, 1, 2, 1, 1), (3, 1, 1, 3, 3), (4, 1, 1, 3, 4))
+
+
+def _meet_lattice(points, meet, top) -> FiniteMonoid:
+    """The lattice on points as the monoid of its meets, top the identity."""
+    index = {p: i for i, p in enumerate(points)}
+    table = tuple(tuple(index[meet(a, b)] for b in points) for a in points)
+    return FiniteMonoid(len(points), index[top], table)
+
+
+def ordinal_sum(lower: FiniteMonoid, upper: FiniteMonoid) -> FiniteMonoid:
+    """The lattice with every element of lower below every element of upper;
+    each is given by its meet table with its top as the identity."""
+    points = [(0, a) for a in lower.elements] + [(1, b) for b in upper.elements]
+
+    def meet(x, y):
+        if x[0] != y[0]:
+            return min(x, y)
+        return x[0], (upper if x[0] else lower).table[x[1]][y[1]]
+
+    return _meet_lattice(points, meet, (1, upper.identity))
+
+
+def product_lattice(A: FiniteMonoid, B: FiniteMonoid) -> FiniteMonoid:
+    """The product of two lattices, each given by its meet table, ordered
+    componentwise."""
+    points = list(itertools.product(A.elements, B.elements))
+    return _meet_lattice(
+        points, lambda x, y: (A.table[x[0]][y[0]], B.table[x[1]][y[1]]), (A.identity, B.identity)
+    )
+
+
+def non_distributive_lattices() -> list:
+    """M3 and N5 with a chain of 2 or 3 stacked above or below them (sizes 7
+    and 8), and M3 x C2 and N5 x C2 (size 10).  Each holds M3 or N5 as a
+    sublattice, so none is distributive."""
+    out = []
+    for L in (m3_lattice(), FiniteMonoid(5, 0, N5_TABLE)):
+        for k in (2, 3):
+            out += [ordinal_sum(chain_lattice(k), L), ordinal_sum(L, chain_lattice(k))]
+        out.append(product_lattice(L, chain_lattice(2)))
+    return out
 
 
 def _set_partitions(n: int):

@@ -4,6 +4,7 @@ removes code must keep this surface; a change that means to alter it edits
 the table below.  The value classes keep their fields, in order, and stay
 frozen."""
 
+import ast
 import importlib
 import json
 import os
@@ -15,14 +16,14 @@ import pytest
 
 import wschreier
 from wschreier.catalog import catalog_inverse_monoids, chain_lattice, cyclic_group
-from wschreier.extension import SchreierRetraction, SplitExtension
+from wschreier.extension import SchreierRetraction, SplitExtension, direct_product_extension
 from wschreier.frames import FiniteFrame, check_frame
 from wschreier.lambda_product import (
     InverseAction, LambdaProduct, enumerate_inverse_actions, lambda_product,
 )
 from wschreier.monoid import (
-    Congruence, FiniteMonoid, InverseStructure, MonoidHom, Verdict, Violation,
-    check_monoid, congruence_closure,
+    Congruence, FiniteMonoid, FormatError, InverseStructure, MonoidHom, Verdict, Violation,
+    check_monoid, congruence_closure, inverse_structure,
 )
 from wschreier.waction import ActionTable, AdmissibleRelation, WActPair, extract_waction
 
@@ -245,3 +246,61 @@ def test_records_are_frozen_values(cls):
     for x in xs:
         for z in xs:
             assert (x == z) == (key(x) == key(z))
+
+
+def malformed_arguments():
+    """For each record whose constructor checks its arguments, arguments of
+    which exactly one is malformed, caught by the last check it makes."""
+    c2, sl2 = cyclic_group(2), chain_lattice(2)
+    ext = direct_product_extension(c2, sl2)
+    inv = inverse_structure(c2).value
+    return {
+        FiniteMonoid: (2, 0, c2.table, ("1",)),  # one label for two elements
+        MonoidHom: (c2, sl2, (0, 2)),  # an image out of range
+        Congruence: (c2, (0, True)),  # a class id that is no plain int
+        SplitExtension: (c2, ext.G, sl2, ext.k, ext.e, ext.k),  # s leaves from N
+        SchreierRetraction: (ext, (1,) * ext.G.size),  # q(0) = 1 does not factor 0
+        AdmissibleRelation: (c2, sl2, ((0, 1), (0, None))),  # a class id that is no plain int
+        ActionTable: (c2, sl2, ((0, 1), (0, 2))),  # a value out of range
+        WActPair: (AdmissibleRelation.discrete(c2, sl2), ActionTable(sl2, c2, ((0, 1), (0, 1)))),
+        InverseAction: (inv, inv, ((0, 1), (1, 2))),  # a value out of range
+    }
+
+
+@pytest.mark.parametrize("cls", [FiniteMonoid, MonoidHom, Congruence, SplitExtension,
+                                 SchreierRetraction, AdmissibleRelation, ActionTable, WActPair,
+                                 InverseAction], ids=lambda cls: cls.__name__)
+def test_malformed_argument_writes_nothing(cls):
+    """Each constructor validates all of its arguments before it writes a
+    field, so the FormatError of a malformed one leaves the instance empty."""
+    obj = cls.__new__(cls)
+    with pytest.raises(FormatError):
+        obj.__init__(*malformed_arguments()[cls])
+    assert vars(obj) == {}
+
+
+def test_records_are_written_through_set_only():
+    """No class in the package has a second construction step
+    (__post_init__), and object.__setattr__ appears only in the alias
+    _set = object.__setattr__, the one way anything writes to a record."""
+    package = os.path.dirname(os.path.abspath(wschreier.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        alias = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and [ast.dump(t) for t in node.targets] == [ast.dump(ast.Name("_set", ast.Store()))]]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names = [item.name] if isinstance(item, ast.FunctionDef) else [
+                        t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)]
+                    if "__post_init__" in names:
+                        found.append("%s:%d: %s.__post_init__" % (name, item.lineno, node.name))
+            elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object"
+                  and not any(node is a for a in alias)):
+                found.append("%s:%d: object.__setattr__" % (name, node.lineno))
+    assert found == []

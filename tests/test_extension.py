@@ -380,8 +380,8 @@ class TestFactorTable:
 
     def test_lambda_product_builds_three_homs(self, monkeypatch, alpha_a):
         built = []
-        post = MonoidHom.__post_init__
-        monkeypatch.setattr(MonoidHom, "__post_init__", lambda f: built.append(f) or post(f))
+        init = MonoidHom.__init__
+        monkeypatch.setattr(MonoidHom, "__init__", lambda f, *a: built.append(f) or init(f, *a))
         lam = lambda_product(alpha_a)
         assert built == [lam.extension.e, lam.extension.k, lam.extension.s]
 
@@ -430,8 +430,8 @@ class TestDerivedFlags:
 
     def test_each_extension_is_built_once(self, monkeypatch, alpha_a, sl2):
         built, cands = [], []
-        post = SplitExtension.__post_init__
-        monkeypatch.setattr(SplitExtension, "__post_init__", lambda x: built.append(x) or post(x))
+        init = SplitExtension.__init__
+        monkeypatch.setattr(SplitExtension, "__init__", lambda x, *a: built.append(x) or init(x, *a))
         real = extension_mod.retraction_candidates
         monkeypatch.setattr(
             extension_mod, "retraction_candidates", lambda x: cands.append(x) or real(x)

@@ -10,6 +10,7 @@ from conftest import (
     downset_frames,
     fresh,
     naive_is_hom,
+    non_distributive_lattices,
     reference_check_frame,
     reference_frame_laws,
     reference_glueing_equals_lambda,
@@ -197,6 +198,18 @@ class TestFrameLawsMatchReference:
             assert len(orders) == failed
             check_frame(fresh(M))
             assert len(orders) == failed + 1
+
+    def test_on_non_distributive_lattices_past_size_6(self):
+        """The meet-prime failure path on lattices the catalog's table search
+        cannot reach: M3 and N5 with a chain stacked on them, and their
+        products with C2, each under seeded relabellings."""
+        rng = random.Random(30)
+        lattices = non_distributive_lattices()
+        assert sorted(M.size for M in lattices) == [7, 7, 7, 7, 8, 8, 8, 8, 10, 10]
+        for M in lattices:
+            for copy in [M] + [relabelled(M, rng) for _ in range(2)]:
+                assert self.assert_agree(copy).law == "distributive", copy.table
+                assert not frames_mod._meet_primes(copy.table, copy.identity)
 
     def test_on_every_monoid_table_of_size_at_most_4(self):
         laws = Counter()

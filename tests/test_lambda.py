@@ -34,6 +34,7 @@ from wschreier.monoid import (
     FormatError,
     MonoidHom,
     PreconditionError,
+    Violation,
     check_hom,
     direct_product,
     generating_plan,
@@ -90,6 +91,40 @@ class TestCheckInverseAction:
     def test_acting_by_identity_elsewhere_is_fine(self, sl3, sl2):
         a = make_inverse_action(sl3, sl2, ((0, 1, 2), (0, 1, 2)))
         assert check_inverse_action(a.N, a.H, a.act).ok
+
+
+class TestClauseWitnesses:
+    # (law, N's table, H's table, act, check_inverse_action's witness): an
+    # action table that breaks this clause of check_inverse_action and no
+    # other.  Found by brute force over the pairs of catalog_inverse_monoids(3)
+    # and every table of maps N -> N, the first in catalog order for each clause.
+    C2 = ((0, 1), (1, 0))
+    CASES = [
+        ("act-identity", C2, ((0,),), ((0, 0),), (1,)),
+        ("act-mul", C2, C2, ((0, 1), (1, 0)), (1, 0, 0)),
+        ("act-compose", C2, C2, ((0, 1), (0, 0)), (1, 1, 1)),
+    ]
+
+    @staticmethod
+    def broken_laws(N, H, act):
+        """The clauses that fail, each stated on its own over every instance."""
+        hs, ns, mn, mh = H.elements, N.elements, N.mul, H.mul
+        holds = {
+            "act-identity": all(act[H.identity][n] == n for n in ns),
+            "act-mul": all(act[h][mn(n, m)] == mn(act[h][n], act[h][m])
+                           for h in hs for n in ns for m in ns),
+            "act-compose": all(act[mh(h, g)][n] == act[h][act[g][n]]
+                               for h in hs for g in hs for n in ns),
+        }
+        return {law for law, ok in holds.items() if not ok}
+
+    @pytest.mark.parametrize("law, n_table, h_table, act, witness", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_clause_fails_alone(self, law, n_table, h_table, act, witness):
+        N, H = (inverse_structure(FiniteMonoid(len(t), 0, t)).expect() for t in (n_table, h_table))
+        verdict = check_inverse_action(N, H, act)
+        assert verdict.violations == (Violation(law, witness),)
+        assert self.broken_laws(N.base, H.base, act) == {law}
 
 
 class TestLambdaProduct:

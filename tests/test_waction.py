@@ -246,6 +246,45 @@ class TestSingleLawWitnesses:
         assert self.broken_laws(N, H, E.fibers, act) == {law}
 
 
+class TestAdmissibleClauseWitnesses:
+    # (law, N's table, H's table, E.fibers, check_admissible's witness): a
+    # relation that breaks this clause of check_admissible and no other.
+    # Found by brute force over the pairs of catalog_monoids(3) and every
+    # fiber partition, the first in catalog order for each clause.
+    CASES = [
+        ("identity-fiber", C2, ((0,),), ((0, 0),), (0, 1)),
+        ("left-translation", C2_ZERO, CHAIN2, ((0, 1, 2), (0, 1, 0)), (1, 0, 2, 1)),
+        ("right-translation", C2, C2, ((0, 1), (0, 0)), (1, 0, 1, 1)),
+    ]
+
+    @staticmethod
+    def broken_laws(N, H, fibers):
+        """The clauses that fail, each stated on its own over every instance."""
+        hs, ns, mn, mh = H.elements, N.elements, N.mul, H.mul
+
+        def rel(h, x, y):
+            return fibers[h][x] == fibers[h][y]
+
+        holds = {
+            "identity-fiber": all(x == y for x in ns for y in ns if rel(H.identity, x, y)),
+            "left-translation": all(rel(h, mn(z, x), mn(z, y))
+                                    for h in hs for x in ns for y in ns
+                                    if rel(h, x, y) for z in ns),
+            "right-translation": all(rel(mh(h, g), x, y)
+                                     for h in hs for x in ns for y in ns
+                                     if rel(h, x, y) for g in hs),
+        }
+        return {law for law, ok in holds.items() if not ok}
+
+    @pytest.mark.parametrize("law, n_table, h_table, fibers, witness", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_clause_fails_alone(self, law, n_table, h_table, fibers, witness):
+        N, H = (FiniteMonoid(len(t), 0, t) for t in (n_table, h_table))
+        E = AdmissibleRelation(N, H, fibers)
+        assert check_admissible(E).violations == (Violation(law, witness),)
+        assert self.broken_laws(N, H, E.fibers) == {law}
+
+
 class TestBuildExtension:
     def test_collapse_pair_builds_four_element_carrier(
         self, sl3, sl2, collapse_E, alpha_a
