@@ -264,7 +264,8 @@ def extension_morphism(a: SplitExtension, b: SplitExtension) -> MonoidHom | None
     if not verdict.ok:
         return None
     fm = verdict.value.map
-    # the three squares hold by construction; keep the cheap assertion honest
+    # the three squares hold when both ends pass verify_split_extension, which
+    # is not required here: for a b with e_b o s_b != id, e_b o f = e_a can fail
     squares = (
         tuple([fm[x] for x in a.k.map]) == b.k.map
         and tuple([b.e.map[x] for x in fm]) == ea

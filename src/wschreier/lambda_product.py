@@ -265,15 +265,25 @@ def enumerate_inverse_actions(
     generator: the images of the other elements are derived by composition,
     and each hom law phi(a b) = phi(a) phi(b) is checked once, as soon as its
     three values are known.  Refuses with BoundExceeded when the assignment
-    count |End(N)|^#generators exceeds max_candidates.  A trivial H has no
+    count |End(N)|^#generators exceeds max_candidates.  End(N) is drawn one
+    endomorphism at a time, and the refusal comes as soon as the maps drawn
+    so far exceed the cap; one more map is then drawn, and if there is one
+    the count is a lower bound, stated as "at least".  A trivial H has no
     generators, so End(N) is not built for it (0 ** 0 is 1 candidate).
     """
     gens, plan = generating_plan(H.base)
-    endos = semigroup_endomorphisms(N.base) if gens else ()
-    estimate = len(endos) ** len(gens)
+    endos, more = [], False
+    search = _hom_search(N.base, N.base.mul, lambda x: N.base.elements) if gens else ()
+    for f in search:
+        endos.append(f)
+        if len(endos) ** len(gens) > max_candidates:
+            more = next(search, None) is not None
+            break
+    estimate = (len(endos) + more) ** len(gens)
     if estimate > max_candidates:
         raise BoundExceeded(
-            "%s candidate assignments exceed cap %d" % (_decimal(estimate), max_candidates),
+            "%s%s candidate assignments exceed cap %d"
+            % ("at least " if more else "", _decimal(estimate), max_candidates),
             estimate,
         )
     one, e = (tuple(N.base.elements),), H.base.identity

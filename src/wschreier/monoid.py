@@ -10,6 +10,7 @@ violated laws with witnesses.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, permutations
 from math import log10
 from operator import attrgetter, itemgetter
@@ -358,7 +359,15 @@ def inverse_structure(M: FiniteMonoid) -> Verdict:
 
 
 def _inverse_laws(M: FiniteMonoid) -> tuple:
-    """The inverse table of M, or the tuple of its violations."""
+    """The inverse table of M, or the tuple of its violations.
+
+    unique-inverse never fails alone: commuting idempotents force unique
+    inverses.  If b and c are inverses of a, then ab, ac, ba and ca are
+    idempotents, and if they commute, b = bab = b(aca)b = (ba)(ca)b =
+    (ca)(ba)b = c(aba)b = cab and c = cac = c(aba)c = c(ab)(ac) =
+    c(ac)(ab) = (cac)ab = cab, so b = c.  So an element with two inverses
+    comes with two idempotents that do not commute, and the search below
+    reports idempotents-commute beside unique-inverse."""
     t = M.table
     violations = []
     inv = []
@@ -445,7 +454,8 @@ def _normalize_classes(ids) -> tuple:
     must be a plain int, as a cell is for _bad_cell; no range is imposed,
     since extract_waction passes rows of ext.ks, which are indices into G.
     The type-set test decides the usual case; the loop names the first id
-    that is not a plain int, with a FormatError."""
+    that is not a plain int, with a FormatError.  ids.index(c) is the least
+    member of class c, and least members rise with c (quotient, blocks)."""
     if not {int}.issuperset(map(type, ids)):
         for c in ids:
             if not isinstance(c, int) or isinstance(c, bool):
@@ -457,6 +467,12 @@ def _normalize_classes(ids) -> tuple:
             seen[c] = len(seen)
         out.append(seen[c])
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _related_pairs(ids: tuple) -> tuple:
+    """Pairs a < b with ids[a] == ids[b], lexicographic; kept, as sweeps repeat fibers."""
+    return tuple((a, b) for a, c in enumerate(ids) for b in range(a + 1, len(ids)) if ids[b] == c)
 
 
 class Congruence(_Record):
@@ -523,13 +539,10 @@ def is_congruence(M: FiniteMonoid, class_id) -> bool:
         return False
     ids = _normalize_classes(ids)  # FormatError on an id that is not a plain int
     t = M.table
-    for a in M.elements:
-        for b in M.elements:
-            if ids[a] != ids[b]:
-                continue
-            for x in M.elements:
-                if ids[t[x][a]] != ids[t[x][b]] or ids[t[a][x]] != ids[t[b][x]]:
-                    return False
+    for a, b in _related_pairs(ids):
+        for x in M.elements:
+            if ids[t[x][a]] != ids[t[x][b]] or ids[t[a][x]] != ids[t[b][x]]:
+                return False
     return True
 
 
@@ -541,10 +554,7 @@ def quotient(M: FiniteMonoid, c: Congruence):
         raise PreconditionError("partition is not a congruence")
     ids = c.class_id
     k = c.num_classes
-    reps = [None] * k
-    for a in M.elements:
-        if reps[ids[a]] is None:
-            reps[ids[a]] = a
+    reps = [ids.index(i) for i in range(k)]
     table = [[ids[M.table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
     labels = tuple("[%s]" % M.label(reps[i]) for i in range(k))
     Q = FiniteMonoid(k, ids[M.identity], tuple(map(tuple, table)), labels)

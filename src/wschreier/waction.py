@@ -7,6 +7,8 @@ fibers).  Its laws: the fiber over the identity is discrete; fibers are
 stable under left multiplication on N; and the fiber over h refines the
 fiber over h*y for every y.  A compatible action is a table alpha(h, n)
 satisfying the six congruence-and-action laws below, each only up to E.
+A fiber is read one way everywhere: its related pairs n1 < n2 come from
+monoid._related_pairs, and the first classmate of class c is f.index(c).
 
 build_extension and extract_waction convert between pairs (E, alpha) and
 weakly Schreier extensions.  build_extension reads the class of each product
@@ -44,6 +46,7 @@ from .monoid import (
     _cell_search,
     _decimal,
     _normalize_classes,
+    _related_pairs,
     _set,
 )
 from .extension import SchreierRetraction, SplitExtension, _extension_on_carrier
@@ -98,35 +101,27 @@ class AdmissibleRelation(_Record):
         return self.fibers[h][n1] == self.fibers[h][n2]
 
     def blocks(self, h: int) -> tuple:
-        out = {}
-        for n, c in enumerate(self.fibers[h]):
-            out.setdefault(c, []).append(n)
-        return tuple(tuple(b) for _, b in sorted(out.items()))
+        f = self.fibers[h]
+        return tuple(tuple(n for n in self.N.elements if f[n] == c) for c in range(max(f) + 1))
 
 
 def check_admissible(E: AdmissibleRelation) -> Verdict:
     """Identity fiber discrete; left-translation stability inside each fiber;
     fiber over h refines fiber over h*y."""
     N, H, fibers = E.N, E.H, E.fibers
-    idf = fibers[H.identity]
-    for n1 in N.elements:
-        for n2 in range(n1 + 1, N.size):
-            if idf[n1] == idf[n2]:
-                return Verdict(None, (Violation("identity-fiber", (n1, n2)),))
+    if merged := _related_pairs(fibers[H.identity]):
+        return Verdict(None, (Violation("identity-fiber", merged[0]),))
     tn, th = N.table, H.table
     for h in H.elements:
         f = fibers[h]
-        for n1 in N.elements:
-            for n2 in range(n1 + 1, N.size):
-                if f[n1] != f[n2]:
-                    continue
-                for x in N.elements:
-                    if f[tn[x][n1]] != f[tn[x][n2]]:
-                        return Verdict(None, (Violation("left-translation", (h, n1, n2, x)),))
-                for y in H.elements:
-                    fy = fibers[th[h][y]]
-                    if fy[n1] != fy[n2]:
-                        return Verdict(None, (Violation("right-translation", (h, n1, n2, y)),))
+        for n1, n2 in _related_pairs(f):
+            for x in N.elements:
+                if f[tn[x][n1]] != f[tn[x][n2]]:
+                    return Verdict(None, (Violation("left-translation", (h, n1, n2, x)),))
+            for y in H.elements:
+                fy = fibers[th[h][y]]
+                if fy[n1] != fy[n2]:
+                    return Verdict(None, (Violation("right-translation", (h, n1, n2, y)),))
     return Verdict(E)
 
 
@@ -195,27 +190,18 @@ def check_compatible_action(E: AdmissibleRelation, a: ActionTable) -> Verdict:
     for h in H.elements:
         f = fibers[h]
         row = act[h]
-        for n1 in N.elements:
-            for n2 in range(n1 + 1, N.size):
-                if f[n1] != f[n2]:
-                    continue
-                for n in N.elements:
-                    if f[tn[n1][row[n]]] != f[tn[n2][row[n]]]:
-                        return Verdict(
-                            None, (Violation("action-congruence-left", (h, n1, n2, n)),)
-                        )
+        for n1, n2 in _related_pairs(f):
+            for n in N.elements:
+                if f[tn[n1][row[n]]] != f[tn[n2][row[n]]]:
+                    return Verdict(None, (Violation("action-congruence-left", (h, n1, n2, n)),))
     for h2 in H.elements:
-        f2 = fibers[h2]
-        for n1 in N.elements:
-            for n2 in range(n1 + 1, N.size):
-                if f2[n1] != f2[n2]:
-                    continue
-                for h in H.elements:
-                    f = fibers[th[h][h2]]
-                    if f[act[h][n1]] != f[act[h][n2]]:
-                        return Verdict(
-                            None, (Violation("action-congruence-right", (h, h2, n1, n2)),)
-                        )
+        for n1, n2 in _related_pairs(fibers[h2]):
+            for h in H.elements:
+                f = fibers[th[h][h2]]
+                if f[act[h][n1]] != f[act[h][n2]]:
+                    return Verdict(
+                        None, (Violation("action-congruence-right", (h, h2, n1, n2)),)
+                    )
     return Verdict(a)
 
 
@@ -280,9 +266,8 @@ def build_extension(p: WActPair) -> SplitExtension:
     """
     _validated(p)
     N, H, tn, size = p.N, p.H, p.N.table, p.N.size
-    first = {}
-    F, K = zip(*[first.setdefault((h, c), (h * size + n, (n, h)))  # first classmate, class
-                 for h, f in enumerate(p.E.fibers) for n, c in enumerate(f)])
+    F, K = zip(*[(h * size + (n := f.index(c)), (n, h))  # first classmate, class
+                 for h, f in enumerate(p.E.fibers) for c in f])
     reps = [c for c, r in enumerate(F) if c == r]
     P = []
     for act, hh in zip(p.alpha.act, H.table):
@@ -345,9 +330,8 @@ def _order_key(p: WActPair) -> tuple:
     size = p.N.size
     F, R, A = [], [], []
     for h, (f, row) in enumerate(zip(p.E.fibers, p.alpha.act)):
-        first = {}
         F += f
-        R += [h * size + first.setdefault(c, n) for n, c in enumerate(f)]
+        R += [h * size + f.index(c) for c in f]
         A += [h * size + v for v in row]
     # tuples from lists, as in extension._extension_on_carrier
     F = tuple(F)
@@ -433,10 +417,8 @@ def _action_tables(E: AdmissibleRelation, minimal: bool):
     cells = [((h, n),) for h in H.elements for n in N.elements]
     tried = [[block[:1] if minimal else block for block in E.blocks(h)] for h in H.elements]
     anywhere = [sorted(n for block in classes for n in block) for classes in tried]
-    related = [[(a, b) for a in N.elements for b in range(a + 1, size) if f[a] == f[b]]
-               for f in fibers]
-    right = [[(h2, a) for h2 in H.elements for a in range(n) if fibers[h2][a] == fibers[h2][n]]
-             for n in N.elements]
+    related = [_related_pairs(f) for f in fibers]
+    right = [[(h2, a) for h2 in H.elements for a, b in related[h2] if b == n] for n in N.elements]
     mul = [[] for _ in N.elements]
     for a in N.elements:
         for b in N.elements:

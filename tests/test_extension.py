@@ -38,6 +38,7 @@ from wschreier.monoid import (
     FormatError,
     MonoidHom,
     PreconditionError,
+    check_hom,
     direct_product,
     identity_hom,
 )
@@ -236,6 +237,19 @@ class TestMorphism:
     def test_requires_weakly_schreier(self, diagonal_section, product_ext):
         with pytest.raises(PreconditionError):
             extension_morphism(diagonal_section, product_ext)
+
+    def test_squares_check_is_live(self):
+        # b is no split extension (e_b o s_b is not the identity of H), yet
+        # every g of both ends has a retraction candidate and the one image
+        # map f = (0, 0) is a hom: only the square e_b o f = e_a fails
+        t1, c2 = trivial_monoid(), cyclic_group(2)
+        a = SplitExtension(t1, c2, c2, MonoidHom(t1, c2, (0,)), identity_hom(c2), identity_hom(c2))
+        b = SplitExtension(t1, t1, c2, MonoidHom(t1, t1, (0,)), MonoidHom(t1, c2, (0,)),
+                           MonoidHom(c2, t1, (0, 0)))
+        assert verify_split_extension(a).ok and not verify_split_extension(b).ok
+        assert all(retraction_candidates(a)) and all(retraction_candidates(b))
+        assert check_hom(a.G, b.G, (0, 0)).ok
+        assert extension_morphism(a, b) is None
 
 
 class TestCarrierBuilder:

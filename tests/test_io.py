@@ -91,6 +91,12 @@ class TestMonoidFormat:
             parse_monoid("monoid m 2\nidentity 0\nrow 0: 0 1\n")
         assert "end of file" in str(info.value)
 
+    def test_row_out_of_order(self):
+        # the row label is read before its entries: row 2 where row 1 belongs
+        with pytest.raises(ParseError) as info:
+            parse_monoid("monoid m 2\nidentity 0\nrow 0: 0 1\nrow 2: 1 1\n", "m.mon")
+        assert str(info.value) == "m.mon:4:5: expected row 1, got row 2"
+
     def test_trailing_line_rejected(self):
         with pytest.raises(ParseError) as info:
             parse_monoid("monoid m 1\nidentity 0\nrow 0: 0\nrow 1: 0\n")

@@ -424,18 +424,40 @@ class TestEnumeration:
         gens, _ = generating_plan(H.base)
         estimate = len(semigroup_endomorphisms(sl3)) ** len(gens)
         assert len(gens) == 2
-        for cap in (1, estimate - 1):
+        # at cap 1 End(N) is drawn until 2 maps exceed it, then one more: at
+        # least 3 ** 2; at estimate - 1 the last map exceeds it, so it is exact
+        for cap, bound in ((1, 3 ** 2), (estimate - 1, estimate)):
             with pytest.raises(BoundExceeded) as new:
                 enumerate_inverse_actions(N, H, max_candidates=cap)
             with pytest.raises(BoundExceeded) as ref:
                 reference_inverse_actions(N, H, max_candidates=cap)
-            assert new.value.estimate == ref.value.estimate == estimate
-            assert str(new.value) == str(ref.value) == (
-                "%d candidate assignments exceed cap %d" % (estimate, cap)
+            assert new.value.estimate == bound and ref.value.estimate == estimate
+            assert str(new.value) == ("at least " if bound < estimate else "") + (
+                "%d candidate assignments exceed cap %d" % (bound, cap)
             )
+            assert str(ref.value) == "%d candidate assignments exceed cap %d" % (estimate, cap)
         assert enumerate_inverse_actions(N, H, max_candidates=estimate) == (
             reference_inverse_actions(N, H, max_candidates=estimate)
         )
+
+    def test_bound_is_checked_before_end_n_is_built(self, sl2, t1, monkeypatch):
+        # End of the 8-chain is far past cap 10: the refusal comes after the
+        # 11th map, and one more map shows that 12 is only a lower bound
+        N = inverse_structure(chain_lattice(8)).value
+        real, drawn = lambda_module._hom_search, []
+
+        def counted(A, *args, **kwargs):
+            for f in real(A, *args, **kwargs):
+                drawn.append(A)
+                yield f
+
+        monkeypatch.setattr(lambda_module, "_hom_search", counted)
+        with pytest.raises(BoundExceeded, match="^at least 12 candidate assignments exceed cap 10$"):
+            enumerate_inverse_actions(N, inverse_structure(sl2).value, max_candidates=10)
+        assert len(drawn) <= 12 and set(drawn) == {N.base}
+        drawn.clear()
+        assert len(enumerate_inverse_actions(N, inverse_structure(t1).value)) == 1
+        assert N.base not in drawn
 
     def test_trivial_h_builds_no_endomorphisms(self, sl3, t1, monkeypatch):
         # a trivial H has no generators, so End(N) is never read

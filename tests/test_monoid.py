@@ -272,6 +272,63 @@ class TestHoms:
                 )
 
 
+class TestClauseWitnesses:
+    # Inputs that break one clause of check_monoid, check_hom or
+    # inverse_structure and no other, each with the checker's witnesses.
+    # broken_* states every clause on its own over all of its instances.
+    MONOIDS = [
+        ("identity", ((0, 0), (0, 0)), [(1,)]),
+        ("associativity", ((0, 1, 2), (1, 0, 1), (2, 1, 0)), [(1, 1, 2), (2, 1, 1)]),
+    ]
+    HOMS = [("hom-identity", (1, 1), (0,)), ("hom-mul", (0, 1), (1, 1))]
+
+    @staticmethod
+    def broken_monoid(t, e):
+        xs = range(len(t))
+        holds = {
+            "identity": all(t[e][a] == a == t[a][e] for a in xs),
+            "associativity": all(t[t[a][b]][c] == t[a][t[b][c]] for a in xs for b in xs for c in xs),
+        }
+        return {law for law, ok in holds.items() if not ok}
+
+    @staticmethod
+    def broken_inverse(M):
+        t, xs = M.table, M.elements
+        inverses = [[b for b in xs if t[t[a][b]][a] == a and t[t[b][a]][b] == b] for a in xs]
+        idem = idempotents(M)
+        holds = {
+            "regular": all(inverses),
+            "unique-inverse": all(len(bs) <= 1 for bs in inverses),
+            "idempotents-commute": all(t[e][f] == t[f][e] for e in idem for f in idem),
+        }
+        return {law for law, ok in holds.items() if not ok}
+
+    @pytest.mark.parametrize("law, table, witnesses", MONOIDS, ids=[c[0] for c in MONOIDS])
+    def test_monoid_clause_fails_alone(self, law, table, witnesses):
+        assert self.broken_monoid(table, 0) == {law}
+        assert check_monoid(table, 0).violations == tuple(Violation(law, w) for w in witnesses)
+
+    @pytest.mark.parametrize("law, map_, witness", HOMS, ids=[c[0] for c in HOMS])
+    def test_hom_clause_fails_alone(self, c2, sl2, law, map_, witness):
+        identity_ok = map_[c2.identity] == sl2.identity
+        mul_ok = all(map_[c2.mul(a, b)] == sl2.mul(map_[a], map_[b])
+                     for a in c2.elements for b in c2.elements)
+        assert (identity_ok, mul_ok) == (law != "hom-identity", law != "hom-mul")
+        assert check_hom(c2, sl2, map_).violations == (Violation(law, witness),)
+
+    def test_regular_fails_alone(self):
+        M = FiniteMonoid(3, 0, ((0, 1, 2), (1, 2, 2), (2, 2, 2)))
+        assert self.broken_inverse(M) == {"regular"}
+        assert inverse_structure(M).violations == (Violation("regular", (1,)),)
+
+    def test_unique_inverse_never_fails_alone(self):
+        # commuting idempotents force unique inverses (see _inverse_laws)
+        for M in catalog_monoids(4):
+            broken = self.broken_inverse(M)
+            assert "unique-inverse" not in broken or "idempotents-commute" in broken
+            assert {v.law for v in inverse_structure(M).violations} == broken
+
+
 class TestCongruence:
     def test_closure_of_nothing_is_discrete(self, sl3):
         c = congruence_closure(sl3, [])
