@@ -185,7 +185,7 @@ def all_homs(A: FiniteMonoid, B: FiniteMonoid) -> tuple:
     """Every monoid hom A -> B, in lexicographic order of the map: the hom
     search with 1 sent to B's identity and each generator of A anywhere."""
     one = (B.identity,)
-    maps = _hom_search(A, B.mul, lambda x: one if x == A.identity else B.elements)
+    maps = _hom_search(A, B.table, lambda x: one if x == A.identity else B.elements)
     return tuple(MonoidHom(A, B, m) for m in sorted(maps))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from .monoid import (
     BoundExceeded,
+    ConsistencyError,
     FiniteMonoid,
     FormatError,
     InverseStructure,
@@ -132,12 +133,13 @@ class LambdaProduct(_Record):
 def lambda_product(a: InverseAction) -> LambdaProduct:
     """Build and verify the lambda semidirect product of a valid action.
 
-    The action is validated first, unless check_inverse_action returned it
-    (PreconditionError if not valid).  The carrier, its twisted product and
-    s go to the shared extension builder, which checks closure, the monoid
-    laws, the split-extension laws and the first projection as a Schreier
-    retraction, and raises ConsistencyError on a failure, since each is a
-    theorem for a valid action.  That retraction comes back with it.
+    The action is validated first, unless check_inverse_action returned it,
+    as artin_like_action and enumerate_inverse_actions do (PreconditionError
+    if not valid).  The carrier, its twisted product and s go to the shared
+    extension builder, which checks closure, the monoid laws, the
+    split-extension laws and the first projection as a Schreier retraction,
+    and raises ConsistencyError on a failure, since each is a theorem for a
+    valid action.  That retraction comes back with it.
     """
     if not getattr(a, "_valid", False):
         check_inverse_action(a.N, a.H, a.act).expect("check_inverse_action")
@@ -246,34 +248,57 @@ def semigroup_endomorphisms(M: FiniteMonoid) -> tuple:
     Sorted; the identity map is always present.  Found by the plan-driven hom
     search with every image free, the identity's too (the law (1, 1) makes it
     idempotent), which drops a partial map at its first broken law."""
-    return tuple(sorted(_hom_search(M, M.mul, lambda x: M.elements)))
+    return tuple(sorted(_hom_search(M, M.table, lambda x: M.elements)))
 
 
-def _compose(f: tuple, g: tuple) -> tuple:
-    """The endomorphism f after g."""
-    return tuple(map(f.__getitem__, g))
+class _Composites(dict):
+    """Row i of the composition table of numbered endomorphisms: at j, the
+    number of endos[i] after endos[j].  A composite is computed the first
+    time it is read and kept; one missing from the numbering raises
+    ConsistencyError, since End(N) is closed under composition."""
+
+    __slots__ = ("f", "endos", "index")
+
+    def __init__(self, f: tuple, endos: list, index: dict):
+        self.f, self.endos, self.index = f, endos, index
+
+    def __missing__(self, j: int) -> int:
+        i = self.index.get(tuple(map(self.f.__getitem__, self.endos[j])))
+        if i is None:
+            raise ConsistencyError("End(N) is not closed under composition")
+        self[j] = i
+        return i
 
 
 def enumerate_inverse_actions(
     N: InverseStructure, H: InverseStructure, max_candidates: int = 10**7
 ):
-    """All inverse-monoid actions of H on N, sorted by action table.
+    """All inverse-monoid actions of H on N, sorted by action table, each
+    checked once, where it is found.
 
     An action is exactly a monoid hom phi from H into the semigroup
     endomorphisms of N under composition, so the plan-driven hom search runs
     over H with the identity endomorphism for 1 and End(N) for each
     generator: the images of the other elements are derived by composition,
     and each hom law phi(a b) = phi(a) phi(b) is checked once, as soon as its
-    three values are known.  Refuses with BoundExceeded when the assignment
-    count |End(N)|^#generators exceeds max_candidates.  End(N) is drawn one
+    three values are known.  The search runs on indices: End(N) is numbered
+    in the order it is drawn, and a composite is read from rows (_Composites)
+    that compute each one the first time it is read, so no |End(N)|^2 table
+    is built.  Refuses with BoundExceeded when the assignment count
+    |End(N)|^#generators exceeds max_candidates.  End(N) is drawn one
     endomorphism at a time, and the refusal comes as soon as the maps drawn
     so far exceed the cap; one more map is then drawn, and if there is one
     the count is a lower bound, stated as "at least".  A trivial H has no
     generators, so End(N) is not built for it (0 ** 0 is 1 candidate).
+
+    Each table found goes through check_inverse_action, as _action_tables
+    checks its tables, and a failure raises ConsistencyError naming the law.
+    The actions returned are the ones it returns, so lambda_product does not
+    check them again.
     """
     gens, plan = generating_plan(H.base)
     endos, more = [], False
-    search = _hom_search(N.base, N.base.mul, lambda x: N.base.elements) if gens else ()
+    search = _hom_search(N.base, N.base.table, lambda x: N.base.elements) if gens else ()
     for f in search:
         endos.append(f)
         if len(endos) ** len(gens) > max_candidates:
@@ -286,6 +311,16 @@ def enumerate_inverse_actions(
             % ("at least " if more else "", _decimal(estimate), max_candidates),
             estimate,
         )
-    one, e = (tuple(N.base.elements),), H.base.identity
-    maps = _hom_search(H.base, _compose, lambda x: one if x == e else endos, plan=plan)
-    return tuple(InverseAction(N, H, act) for act in sorted(maps))
+    identity = tuple(N.base.elements)
+    endos = endos or [identity]
+    index = {f: i for i, f in enumerate(endos)}
+    t = [_Composites(f, endos, index) for f in endos]
+    one, e = (index[identity],), H.base.identity
+    maps = _hom_search(H.base, t, lambda x: one if x == e else range(len(endos)), plan=plan)
+    out = []
+    for act in sorted(tuple(map(endos.__getitem__, phi)) for phi in maps):
+        verdict = check_inverse_action(N, H, act)
+        if not verdict.ok:
+            raise ConsistencyError("table fails the action laws: %s" % (verdict.violations[0],))
+        out.append(verdict.value)
+    return tuple(out)

@@ -671,10 +671,12 @@ def generating_plan(M: FiniteMonoid):
     return gens, [(x, how[x]) for x in order]
 
 
-def _hom_search(A: FiniteMonoid, mul, choices, injective=False, plan=None):
+def _hom_search(A: FiniteMonoid, t, choices, injective=False, plan=None):
     """Yield lazily, in search order, every map phi on A's elements with
-    phi(a b) = mul(phi(a), phi(b)) for all a, b, whose values at the identity
-    and at each generator of A are drawn from choices(x).
+    phi(a b) = t[phi(a)][phi(b)] for all a, b, whose values at the identity
+    and at each generator of A are drawn from choices(x).  t is anything
+    read as t[x][y]: a Cayley table, or rows that compute a product the first
+    time it is read (lambda_product.enumerate_inverse_actions).
 
     The search is _cell_search over the stages of A's generating plan, each
     a cell of the one-row table [phi]: stage 0 chooses phi(1), each later one
@@ -684,7 +686,7 @@ def _hom_search(A: FiniteMonoid, mul, choices, injective=False, plan=None):
     and a failure prunes every extension; with injective, so does a stage
     that gives two known elements one value.  plan is A's generating plan."""
     plan = plan or generating_plan(A)[1]
-    stages = []  # (x chosen at this stage, [(y, a, b) derived as mul(phi(a), phi(b))])
+    stages = []  # (x chosen at this stage, [(y, a, b) derived as t[phi(a)][phi(b)]])
     stage_of = {}
     for x, rule in plan:
         if rule[0] == "mul":
@@ -702,11 +704,11 @@ def _hom_search(A: FiniteMonoid, mul, choices, injective=False, plan=None):
 
     def check(k, v):
         for y, a, b in stages[k][1]:
-            phi[y] = mul(phi[a], phi[b])
+            phi[y] = t[phi[a]][phi[b]]
         if injective and len({phi[z] for z in known[k]}) < len(known[k]):
             return False
         for a, b, ab in laws[k]:
-            if phi[ab] != mul(phi[a], phi[b]):
+            if phi[ab] != t[phi[a]][phi[b]]:
                 return False
         return True
 
@@ -721,19 +723,31 @@ def _cell_search(rows, cells, values, check):
     passes check(k, v), a test of law instances read from fixed cells and
     cells 0..k whose failure prunes every extension; ascending values give
     fillings in lexicographic cell order.  In _hom_search a cell is a stage:
-    check derives the stage's products and tests its law instances."""
+    check derives the stage's products and tests its law instances.
 
-    def search(k):
-        if k == len(cells):
-            yield tuple(map(tuple, rows))
-            return
-        for v in values[k]:
-            for r, c in cells[k]:
+    One generator over a stack of value iterators, its[k] for cell k: a value
+    that passes its check descends to cell k + 1, or at the last cell yields
+    the filling and goes on to the next value; an exhausted iterator returns
+    to cell k - 1.  Nothing runs before the first filling is asked for, and
+    each filling is yielded once, not passed up through one frame per cell."""
+    if not cells:
+        yield tuple(map(tuple, rows))
+        return
+    last, its = len(cells) - 1, [iter(values[0])]
+    while its:
+        k = len(its) - 1
+        cell = cells[k]
+        for v in its[k]:
+            for r, c in cell:
                 rows[r][c] = v
-            if check(k, v):
-                yield from search(k + 1)
-
-    return search(0)
+            if not check(k, v):
+                continue
+            if k < last:
+                its.append(iter(values[k + 1]))
+                break
+            yield tuple(map(tuple, rows))
+        else:
+            its.pop()
 
 
 def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
@@ -752,7 +766,7 @@ def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:
         return False
     # a fingerprint marks the identity, so only B's identity matches A's
     choices = [[y for y in B.elements if fpb[y] == fpa[x]] for x in A.elements]
-    phi = next(_hom_search(A, B.mul, choices.__getitem__, injective=True), ())
+    phi = next(_hom_search(A, B.table, choices.__getitem__, injective=True), ())
     return len(set(phi)) == A.size
 
 

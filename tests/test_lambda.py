@@ -30,6 +30,7 @@ from wschreier.extension import (
 )
 from wschreier.monoid import (
     BoundExceeded,
+    ConsistencyError,
     FiniteMonoid,
     FormatError,
     MonoidHom,
@@ -460,21 +461,23 @@ class TestEnumeration:
         assert N.base not in drawn
 
     def test_trivial_h_builds_no_endomorphisms(self, sl3, t1, monkeypatch):
-        # a trivial H has no generators, so End(N) is never read
+        # a trivial H has no generators, so no map of End(N) is ever drawn
         N = inverse_structure(sl3).value
         H = inverse_structure(t1).value
-        built = []
+        real, drawn = lambda_module._hom_search, []
 
-        def counted(M):
-            built.append(M)
-            return semigroup_endomorphisms(M)
+        def counted(A, *args, **kwargs):
+            for f in real(A, *args, **kwargs):
+                if A is N.base:
+                    drawn.append(f)
+                yield f
 
-        monkeypatch.setattr(lambda_module, "semigroup_endomorphisms", counted)
+        monkeypatch.setattr(lambda_module, "_hom_search", counted)
         actions = enumerate_inverse_actions(N, H)
         assert [a.act for a in actions] == [(tuple(sl3.elements),)]
         with pytest.raises(BoundExceeded, match="^1 candidate assignments exceed cap 0$"):
             enumerate_inverse_actions(N, H, max_candidates=0)
-        assert built == []
+        assert drawn == []
 
     def test_plan_of_h_is_built_once(self, sl3, sl2, monkeypatch):
         N = inverse_structure(sl3).value
@@ -491,3 +494,60 @@ class TestEnumeration:
         assert planned.count(H.base) == 1
         monkeypatch.undo()
         assert actions == reference_inverse_actions(N, H)
+
+    def test_composites_are_computed_lazily_and_once(self, c2, monkeypatch):
+        # End of the 8-chain has C(15, 8) = 6435 maps, so an eager table of
+        # composites would compute 6435 ** 2 = 41,409,225 of them
+        N = inverse_structure(chain_lattice(8)).value
+        real, computed = lambda_module._Composites.__missing__, []
+
+        def counted(row, j):
+            computed.append((row.f, j))
+            return real(row, j)
+
+        monkeypatch.setattr(lambda_module._Composites, "__missing__", counted)
+        actions = enumerate_inverse_actions(N, inverse_structure(c2).value)
+        # the 8-chain has no automorphism but the identity, so C2 acts trivially
+        assert [a.act for a in actions] == [(tuple(N.base.elements),) * 2]
+        assert 0 < len(computed) <= 20_000
+        assert len(set(computed)) == len(computed)
+
+    def test_lambda_product_does_not_check_enumerated_actions_again(self, monkeypatch):
+        catalog = catalog_inverse_monoids(3)
+        actions = [a for N in catalog for H in catalog for a in enumerate_inverse_actions(N, H)]
+        calls = []
+        real = lambda_module.check_inverse_action
+        monkeypatch.setattr(lambda_module, "check_inverse_action",
+                            lambda *args: calls.append(args) or real(*args))
+        for a in actions:
+            assert lambda_product(a).extension.verified
+        assert len(actions) == 155 and calls == []
+
+    def test_each_found_table_is_checked(self, sl3, c2, monkeypatch):
+        # a wrapped search that moves one index of the first H-map it yields
+        # makes a table that is no action: check_inverse_action must refuse it
+        N, H = inverse_structure(sl3).value, inverse_structure(c2).value
+        real = lambda_module._hom_search
+
+        def moved(A, t, *args, **kwargs):
+            maps = real(A, t, *args, **kwargs)
+            if A is not H.base:
+                yield from maps
+                return
+            phi = list(next(maps))
+            g = 1 - H.base.identity
+            phi[g] = (phi[g] + 1) % len(t)
+            yield tuple(phi)
+            yield from maps
+
+        monkeypatch.setattr(lambda_module, "_hom_search", moved)
+        with pytest.raises(ConsistencyError, match="act-(mul|compose)"):
+            enumerate_inverse_actions(N, H)
+
+    def test_composite_outside_the_numbering_is_refused(self):
+        # the constant map after the identity is the constant map, which a
+        # numbering of the identity alone does not hold
+        row = lambda_module._Composites((0, 0), [(0, 1)], {(0, 1): 0})
+        with pytest.raises(ConsistencyError, match="not closed under composition"):
+            row[0]
+        assert dict(row) == {}

@@ -8,8 +8,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wschreier.catalog as catalog_mod
 import wschreier.monoid as monoid_mod
-from conftest import fresh, naive_is_hom, naive_is_monoid, relabelled
+from conftest import fresh, naive_is_hom, naive_is_monoid, reference_cell_search, relabelled
 from wschreier.catalog import (
     catalog_monoids,
     chain_lattice,
@@ -446,6 +447,74 @@ class TestSubKernelCokernel:
         k = MonoidHom(trivial_monoid(), sl3, (0,))
         e = MonoidHom(sl3, sl3, (0, 0, 0))
         assert not is_cokernel(k, e)
+
+
+class TestCellSearch:
+    """_cell_search against the recursive reference_cell_search: the same
+    fillings in the same order, the same check calls with the same cells
+    visible, and the same rows left behind."""
+
+    @staticmethod
+    def run(search, shape, cells, values, refuse_at):
+        rows = [list(row) for row in shape]
+        calls = []
+
+        def check(k, v):
+            # reads every cell up to k, so the verdict depends on earlier cells
+            seen = tuple(rows[r][c] for cell in cells[:k + 1] for r, c in cell)
+            calls.append((k, v, seen))
+            return k != refuse_at and hash((k, v) + seen) % 3 != 0
+
+        return list(search(rows, cells, values, check)), calls, rows
+
+    @staticmethod
+    def problem(rng):
+        height, width = rng.randint(1, 3), rng.randint(1, 3)
+        positions = [(r, c) for r in range(height) for c in range(width)]
+        rng.shuffle(positions)
+        del positions[rng.randint(0, len(positions)):]  # the rest stay fixed
+        cells = []
+        while positions:  # cells of one position, or two as in lattice tables
+            take = rng.choice((1, 2))
+            cells.append(tuple(positions[:take]))
+            del positions[:take]
+        values = [sorted(rng.sample(range(4), rng.randint(0, 3))) for _ in cells]
+        shape = [[rng.randrange(4) for _ in range(width)] for _ in range(height)]
+        refuse_at = rng.choice([-1] * 4 + [0] + list(range(len(cells))))
+        return shape, cells, values, refuse_at
+
+    def test_matches_reference_on_seeded_problems(self):
+        rng = random.Random(20201021)
+        shapes = {"no cells": 0, "two positions": 0, "empty range": 0, "refused at 0": 0}
+        for _ in range(400):
+            shape, cells, values, refuse_at = self.problem(rng)
+            new = self.run(monoid_mod._cell_search, shape, cells, values, refuse_at)
+            ref = self.run(reference_cell_search, shape, cells, values, refuse_at)
+            assert new == ref
+            shapes["no cells"] += not cells
+            shapes["two positions"] += any(len(cell) == 2 for cell in cells)
+            shapes["empty range"] += any(not v for v in values)
+            shapes["refused at 0"] += refuse_at == 0 and bool(cells)
+        assert min(shapes.values()) > 0, shapes
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_matches_reference_on_catalog_tables(self, lattice, monkeypatch):
+        new = [list(catalog_mod._associative_tables(n, lattice)) for n in range(1, 5)]
+        monkeypatch.setattr(catalog_mod, "_cell_search", reference_cell_search)
+        assert new == [list(catalog_mod._associative_tables(n, lattice)) for n in range(1, 5)]
+
+    def test_first_of_a_billion_fillings_is_lazy(self):
+        # 9 cells of 10 values each: 10 ** 9 fillings, every check passes
+        calls = []
+        rows = [[0] * 9]
+        search = monoid_mod._cell_search(
+            rows, [((0, c),) for c in range(9)], [range(10)] * 9,
+            lambda k, v: calls.append(k) is None)
+        assert calls == []
+        assert next(search) == ((0,) * 9,)
+        assert calls == list(range(9))
+        assert next(search) == ((0,) * 8 + (1,),)
+        assert calls == list(range(9)) + [8]
 
 
 class TestIsomorphism:
