@@ -723,31 +723,19 @@ def _cell_search(rows, cells, values, check):
     passes check(k, v), a test of law instances read from fixed cells and
     cells 0..k whose failure prunes every extension; ascending values give
     fillings in lexicographic cell order.  In _hom_search a cell is a stage:
-    check derives the stage's products and tests its law instances.
+    check derives the stage's products and tests its law instances."""
 
-    One generator over a stack of value iterators, its[k] for cell k: a value
-    that passes its check descends to cell k + 1, or at the last cell yields
-    the filling and goes on to the next value; an exhausted iterator returns
-    to cell k - 1.  Nothing runs before the first filling is asked for, and
-    each filling is yielded once, not passed up through one frame per cell."""
-    if not cells:
-        yield tuple(map(tuple, rows))
-        return
-    last, its = len(cells) - 1, [iter(values[0])]
-    while its:
-        k = len(its) - 1
-        cell = cells[k]
-        for v in its[k]:
-            for r, c in cell:
-                rows[r][c] = v
-            if not check(k, v):
-                continue
-            if k < last:
-                its.append(iter(values[k + 1]))
-                break
+    def search(k):
+        if k == len(cells):
             yield tuple(map(tuple, rows))
-        else:
-            its.pop()
+            return
+        for v in values[k]:
+            for r, c in cells[k]:
+                rows[r][c] = v
+            if check(k, v):
+                yield from search(k + 1)
+
+    return search(0)
 
 
 def are_isomorphic(A: FiniteMonoid, B: FiniteMonoid) -> bool:

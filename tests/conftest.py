@@ -378,24 +378,6 @@ def reference_inverse_actions(N, H, max_candidates: int = 10**7):
     return tuple(InverseAction(N, H, act) for act in found)
 
 
-def reference_cell_search(rows, cells, values, check):
-    """The recursive cell search that monoid._cell_search replaced, kept
-    verbatim as the reference for its fillings, their order, its writes to
-    rows and its check calls."""
-
-    def search(k):
-        if k == len(cells):
-            yield tuple(map(tuple, rows))
-            return
-        for v in values[k]:
-            for r, c in cells[k]:
-                rows[r][c] = v
-            if check(k, v):
-                yield from search(k + 1)
-
-    return search(0)
-
-
 def _reference_order(M):
     """leq of M, a commutative idempotent table, and its join table: each
     join is searched for among all upper bounds as the unique least one, and

@@ -23,10 +23,6 @@ import time
 import types
 from pathlib import Path
 
-SWEEPS = {"lambda_sweep": "LambdaSweep", "wact_roundtrip": "WactRoundtrip",
-          "glueing_join": "GlueingJoin"}
-
-
 def load(tree: Path, name: str, tmp: Path, source: str) -> types.ModuleType:
     """perfbench's workloads module bound to tree's package, imported as name."""
     shutil.copytree(tree / "src" / "wschreier", tmp / name)
@@ -55,18 +51,19 @@ def one_pass(sweep) -> float:
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("trees", nargs=2, type=Path, metavar="TREE")
-    p.add_argument("--workload", choices=sorted(SWEEPS), default="lambda_sweep")
+    p.add_argument("--workload", default="lambda_sweep", help="a name in workloads.SWEEPS")
     p.add_argument("--seed", type=int, default=29)
     p.add_argument("--rounds", type=int, default=12)
-    p.add_argument("--small", action="store_true", help="the reduced catalogs")
     args = p.parse_args(argv)
     sys.dont_write_bytecode = True
     source = (args.trees[0] / "perfbench" / "workloads.py").read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sweeps = [getattr(load(tree.resolve(), "ab_tree_%d" % i, Path(tmp), source),
-                          SWEEPS[args.workload])(args.seed, args.small)
-                  for i, tree in enumerate(args.trees)]
+        modules = [load(tree.resolve(), "ab_tree_%d" % i, Path(tmp), source)
+                   for i, tree in enumerate(args.trees)]
+        if args.workload not in modules[0].SWEEPS:
+            p.error("--workload: choose from %s" % ", ".join(sorted(modules[0].SWEEPS)))
+        sweeps = [m.SWEEPS[args.workload](args.seed) for m in modules]
         times = [[], []]
         for r in range(args.rounds):
             for i in (0, 1) if r % 2 == 0 else (1, 0):
