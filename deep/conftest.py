@@ -14,6 +14,7 @@ from wschreier.catalog import (
     catalog_monoids,
     commutative_idempotent_monoids,
 )
+from wschreier.extension import SchreierRetraction
 from wschreier.frames import _glueing_parts, artin_glueing, check_frame
 from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
 from wschreier.monoid import FiniteMonoid, canonical_form
@@ -75,13 +76,14 @@ def posets(in_bound):
 def built(posets):
     """build_extension of every pair, a list per poset, and the (carrier,
     extension, retraction) of each build, recorded through the waction
-    module's reference to the builder."""
+    module's reference to the builder; the retraction is the first
+    projection, built through SchreierRetraction."""
     builder, made = waction._extension_on_carrier, []
 
     def recording(N, H, carrier, *rest):
-        ext, r = builder(N, H, carrier, *rest)
-        made.append((carrier, ext, r))
-        return ext, r
+        ext = builder(N, H, carrier, *rest)
+        made.append((carrier, ext, SchreierRetraction(ext, tuple([n for n, _ in carrier]))))
+        return ext
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(waction, "_extension_on_carrier", recording)

@@ -6,9 +6,9 @@ weakly Schreier when every g factors as k(n) * s(e(g)) for some n; any map q
 picking such an n is a Schreier retraction.  q is a bare index map with no
 hom laws of its own.
 
-Then k(N) and s(H) generate G: the shared builder, once it has read this
-factorisation off its table, checks associativity on them, verify_split_extension
-e's product law (monoid.check_monoid), and a failure reruns the full check.
+Then k(N) and s(H) generate G: the shared builder refuses a table that does
+not factor so, then checks associativity on them, and verify_split_extension
+e's product law (monoid.check_monoid); a failure there reruns the full check.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ class SplitExtension(_Record):
     """Bundle (N, G, H, k, e, s).
 
     ks[h][n] = k(n) * s(h) is the factor table, derived once per instance.
-    verified starts False, and verify_split_extension sets it on the instance
-    it passes.  retraction_candidates keeps its result on it as _cands.  Like
-    FiniteMonoid.elements, none of them takes part in equality, hashing or repr.
+    retraction_candidates keeps its result on it as _cands.  Like
+    FiniteMonoid.elements, neither takes part in equality, hashing or repr.
     """
 
     _fields = ("N", "G", "H", "k", "e", "s")
@@ -76,7 +75,6 @@ class SplitExtension(_Record):
         _set(self, "e", e)
         _set(self, "s", s)
         _set(self, "ks", ks)
-        _set(self, "verified", False)
 
 
 class SchreierRetraction(_Record):
@@ -117,7 +115,7 @@ def verify_split_extension(ext: SplitExtension) -> Verdict:
 
     Laws: k, e, s are homs; e o s = id; k is injective with image exactly
     the e-preimage of the identity; e is the cokernel of k.  On success the
-    value is ext itself, now marked verified.
+    value is ext itself.
 
     The cokernel law is decided from the factor table ext.ks when its
     entries k(n) * s(h) cover G, and by is_cokernel otherwise.  Both routes
@@ -154,20 +152,29 @@ def verify_split_extension(ext: SplitExtension) -> Verdict:
         return Verdict(None, (Violation("kernel-image", (g,)),))
     if not covered and not is_cokernel(ext.k, ext.e):
         return Verdict(None, (Violation("cokernel"),))
-    _set(ext, "verified", True)
     return Verdict(ext)
 
 
 def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
-    """The verified split extension of H by N on a carrier of pairs (n, h),
-    and its first projection (n, h) -> n as a Schreier retraction.
+    """The checked split extension of H by N on a carrier of pairs (n, h),
+    whose first projection (n, h) -> n is a Schreier retraction.
 
     carrier lists the pairs h-major; products[i][j] is the pair of
     carrier[i] * carrier[j] and s[h] the pair of s(h).  k(n) = (n, 1) and e
     is the second projection.  Elements are labelled brackets % (n, h).
-    Closure, the monoid laws, the split-extension laws and the retraction
-    are all checked; any failure raises ConsistencyError naming what was
-    built.  Returns (extension, retraction).
+    Closure, the retraction law, the monoid laws and the split-extension
+    laws are checked in that order; any failure raises ConsistencyError
+    naming what was built.
+
+    The retraction law is read first: each pair g = (n, h) must be
+    k(n) * s(h) in the table.  Then k(N) and s(H) generate it, and
+    check_monoid checks associativity at middles in them only.  The law is
+    the factor test of the SchreierRetraction constructor, since
+    ks[h][n] = G.table[k(n)][s(h)], and that constructor's range test holds
+    too, as every builder draws n from N.elements (lambda_product,
+    artin_glueing) or as f.index(c) (build_extension).  So
+    SchreierRetraction(ext, first projection) cannot fail; lambda_product,
+    the one caller that keeps it, builds it.
     """
     index = {p: i for i, p in enumerate(carrier)}
     one = H.identity
@@ -183,11 +190,14 @@ def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
         smap = tuple([index[p] for p in s])
     except KeyError as exc:
         raise ConsistencyError("%s: %r is not a carrier pair" % (what, exc.args[0])) from None
+    for g, (n, h) in enumerate(carrier):
+        if table[kmap[n]][smap[h]] != g:
+            raise ConsistencyError(
+                "%s first projection is no Schreier retraction: q(%d) = %d does not factor g"
+                % (what, g, n)
+            )
     labels = tuple([brackets % (N.label(n), H.label(h)) for n, h in carrier])
-    # the retraction law, read early: if every pair is k(n) * s(h), these generate
-    factored = all([table[kmap[n]][smap[h]] == g for g, (n, h) in enumerate(carrier)])
-    gens = set(kmap).union(smap) if factored else None
-    laws = check_monoid(table, identity, labels, _middles=gens)
+    laws = check_monoid(table, identity, labels, _middles=set(kmap).union(smap))
     if not laws.ok:
         raise ConsistencyError("%s fails monoid laws: %s" % (what, laws.violations[0]))
     G = laws.value
@@ -196,12 +206,7 @@ def _extension_on_carrier(N, H, carrier, products, s, what, brackets="(%s,%s)"):
     verdict = verify_split_extension(ext)
     if not verdict.ok:
         raise ConsistencyError("%s fails extension laws: %s" % (what, verdict.violations[0]))
-    try:
-        return ext, SchreierRetraction(ext, tuple([n for n, _ in carrier]))
-    except FormatError as exc:
-        raise ConsistencyError(
-            "%s first projection is no Schreier retraction: %s" % (what, exc)
-        ) from None
+    return ext
 
 
 def retraction_candidates(ext: SplitExtension) -> tuple:

@@ -15,7 +15,7 @@ hands them to the extension builder shared with lambda_product and
 build_extension (extension._extension_on_carrier), which also checks that
 (n, h) -> n is a Schreier retraction.  glueing_equals_lambda builds the
 glueing's carrier and meet the same way, but compares them, as pairs, with
-the lambda product's verified extension instead of building them a second
+the lambda product's checked extension instead of building them a second
 time; the builder is deterministic, so each law of the structure it vouches
 for, the glued frame's included, is checked once.
 
@@ -167,7 +167,7 @@ def _order(M: FiniteMonoid):
     return leq, join, bottom
 
 
-def _frame_data(M: FiniteMonoid, gens=None):
+def _frame_data(M: FiniteMonoid):
     """(leq, join, bottom) of M, or the first Violation of the frame laws.
 
     Computed once per instance and kept on it as _frame, the way elements
@@ -177,7 +177,7 @@ def _frame_data(M: FiniteMonoid, gens=None):
     try:
         return M._frame
     except AttributeError:
-        data = _frame_laws(M, gens) or _order(M)
+        data = _frame_laws(M) or _order(M)
         _set(M, "_frame", data)
         return data
 
@@ -224,14 +224,13 @@ def _glueing_parts(f: MonoidHom):
     return carrier, products, s
 
 
-def _glued_laws(ext, laws):
-    """laws(ext.G, k(N) | s(H)), _frame_laws or _frame_data, for a glueing's
-    verified extension, whose builder checked that k(N), s(H) generate; a
-    Violation raises ConsistencyError."""
-    data = laws(ext.G, set(ext.k.map).union(ext.s.map))
-    if isinstance(data, Violation):
-        raise ConsistencyError("glueing carrier fails frame laws: %s" % (data,))
-    return data
+def _glued_laws(ext):
+    """Check the frame laws of a glueing's built extension on k(N) | s(H),
+    which generate ext.G since its builder read the first projection as a
+    Schreier retraction; a Violation raises ConsistencyError."""
+    violation = _frame_laws(ext.G, set(ext.k.map).union(ext.s.map))
+    if violation is not None:
+        raise ConsistencyError("glueing carrier fails frame laws: %s" % (violation,))
 
 
 def artin_glueing(f: MonoidHom):
@@ -244,8 +243,9 @@ def artin_glueing(f: MonoidHom):
     re-checked and a failure raises ConsistencyError.
     """
     carrier, products, s = _glueing_parts(f)
-    ext, _ = _extension_on_carrier(f.target, f.source, carrier, products, s, "glueing")
-    return FiniteFrame(ext.G, *_glued_laws(ext, _frame_data)), ext
+    ext = _extension_on_carrier(f.target, f.source, carrier, products, s, "glueing")
+    _glued_laws(ext)
+    return FiniteFrame(ext.G, *_order(ext.G)), ext
 
 
 def glueing_equals_lambda(f: MonoidHom) -> bool:
@@ -270,7 +270,7 @@ def glueing_equals_lambda(f: MonoidHom) -> bool:
         or [pairs[x] for x in ext.s.map] != s
     ):
         return False
-    _glued_laws(ext, _frame_laws)
+    _glued_laws(ext)
     return True
 
 

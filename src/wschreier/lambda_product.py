@@ -136,10 +136,11 @@ def lambda_product(a: InverseAction) -> LambdaProduct:
     The action is validated first, unless check_inverse_action returned it,
     as artin_like_action and enumerate_inverse_actions do (PreconditionError
     if not valid).  The carrier, its twisted product and s go to the shared
-    extension builder, which checks closure, the monoid laws, the
-    split-extension laws and the first projection as a Schreier retraction,
-    and raises ConsistencyError on a failure, since each is a theorem for a
-    valid action.  That retraction comes back with it.
+    extension builder, which checks closure, the first projection as a
+    Schreier retraction, the monoid laws and the split-extension laws, and
+    raises ConsistencyError on a failure, since each is a theorem for a
+    valid action.  The product keeps that retraction, built through its
+    checking constructor.
     """
     if not getattr(a, "_valid", False):
         check_inverse_action(a.N, a.H, a.act).expect("check_inverse_action")
@@ -155,8 +156,8 @@ def lambda_product(a: InverseAction) -> LambdaProduct:
             [(tn[idem_rows[th1[h2]][n1]][row1[n2]], th1[h2]) for n2, h2 in carrier]
         )
     s = [(idem_rows[h][N.identity], h) for h in H.elements]
-    ext, retraction = _extension_on_carrier(N, H, carrier, products, s, "lambda product")
-    return LambdaProduct(a, carrier, ext, retraction)
+    ext = _extension_on_carrier(N, H, carrier, products, s, "lambda product")
+    return LambdaProduct(a, carrier, ext, SchreierRetraction(ext, tuple([n for n, _ in carrier])))
 
 
 def canonicalize(a: InverseAction, n: int, h: int):

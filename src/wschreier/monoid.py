@@ -88,7 +88,7 @@ class _Record:
     written, then writes each field once with _set.  _set is the only way
     anything writes to a record: its fields, what is derived with them
     (FiniteMonoid.elements, SplitExtension.ks) and the results kept on it
-    later for validate-once (verified, _frame, _valid and the like).  ==,
+    later for validate-once (_cands, _frame, _valid and the like).  ==,
     hash and repr follow the fields in that order, and records of different
     classes are never equal; nothing else takes part in them.  Assigning or
     deleting an attribute raises AttributeError.

@@ -282,7 +282,7 @@ def build_extension(p: WActPair) -> SplitExtension:
         raise ConsistencyError("product of classes %d and %d is not well defined" % (i, j))
     s = [K[h * size + N.identity] for h in H.elements]
     products = [cut(P[r]) for r in reps]
-    return _extension_on_carrier(N, H, cut(K), products, s, "built extension", "[%s,%s]")[0]
+    return _extension_on_carrier(N, H, cut(K), products, s, "built extension", "[%s,%s]")
 
 
 def extract_waction(ext: SplitExtension, r: SchreierRetraction) -> WActPair:

@@ -823,7 +823,7 @@ def reference_build_extension(p):
             row.append((results.pop(), h))
         products.append(row)
     s = [(least[h][N.identity], h) for h in H.elements]
-    return _extension_on_carrier(N, H, carrier, products, s, "built extension", "[%s,%s]")[0]
+    return _extension_on_carrier(N, H, carrier, products, s, "built extension", "[%s,%s]")
 
 
 def relabelled_pair(p, rng):

@@ -304,3 +304,49 @@ def test_records_are_written_through_set_only():
                   and not any(node is a for a in alias)):
                 found.append("%s:%d: object.__setattr__" % (name, node.lineno))
     assert found == []
+
+
+def test_kept_results_are_read():
+    """Every name written with _set(obj, "<name>", ...) is a field named in
+    some _fields, or is read again somewhere in the package: as an attribute
+    load, or as the name passed to getattr or hasattr.  A result kept on a
+    record that nothing reads costs a write per instance and buys nothing."""
+    package = os.path.dirname(os.path.abspath(wschreier.__file__))
+    written, fields, read = {}, set(), set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "_fields" for t in node.targets):
+                fields.update(ast.literal_eval(node.value))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                if node.func.id == "_set":
+                    written.setdefault(node.args[1].value, "%s:%d" % (name, node.lineno))
+                elif node.func.id in ("getattr", "hasattr"):
+                    read.add(node.args[1].value)
+    assert {"ks", "_cands", "_frame", "_valid"} <= set(written)
+    assert ["%s: %s" % (where, attr) for attr, where in sorted(written.items())
+            if attr not in fields and attr not in read] == []
+
+
+def test_accessors_read_their_fields():
+    """A Verdict is true when it is ok; ActionTable and InverseAction called
+    at (h, n) read act[h][n], InverseAction.table() is the ActionTable of the
+    same rows, and a SchreierRetraction called at g reads q[g]."""
+    assert check_monoid(((0, 1), (1, 0)), 0) and not check_monoid(((0, 1), (1, 0)), 1)
+    lams = record_samples()[LambdaProduct]
+    assert any(lam.action.act != ((0, 1), (0, 1)) for lam in lams)
+    for lam in lams:
+        a, r = lam.action, lam.retraction
+        table = a.table()
+        assert table == ActionTable(a.N.base, a.H.base, a.act)
+        cells = [(h, n) for h in a.H.base.elements for n in a.N.base.elements]
+        assert [a(h, n) for h, n in cells] == [table(h, n) for h, n in cells] == [
+            a.act[h][n] for h, n in cells]
+        assert tuple(r(g) for g in lam.extension.G.elements) == r.q

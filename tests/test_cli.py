@@ -18,7 +18,9 @@ from wschreier.io import (
     serialize_wact_pair,
 )
 from wschreier.lambda_product import enumerate_inverse_actions, lambda_product
-from wschreier.monoid import ConsistencyError, MonoidHom, direct_product, inverse_structure
+from wschreier.monoid import (
+    ConsistencyError, MonoidHom, PreconditionError, direct_product, inverse_structure,
+)
 from wschreier.waction import ActionTable, AdmissibleRelation, WActPair, extract_waction
 
 
@@ -175,6 +177,16 @@ class TestLambda:
         code, out = invoke(capsys, "lambda", str(files / "alpha_a.act"))
         assert code == 3
         assert out == "action: valid\nerror: internal: lambda product fails monoid laws: boom\n"
+
+    def test_precondition_error_exits_1(self, files, capsys, monkeypatch):
+        # no verb lets one out today; run maps it all the same
+        def refused(action):
+            raise PreconditionError("check_inverse_action failed: boom")
+
+        monkeypatch.setattr(sys.modules["wschreier.lambda_product"], "lambda_product", refused)
+        code, out = invoke(capsys, "lambda", str(files / "alpha_a.act"))
+        assert code == 1
+        assert out == "action: valid\nerror: check_inverse_action failed: boom\n"
 
     def test_emit_is_loadable(self, files, capsys):
         out_path = str(files / "lam.ext")

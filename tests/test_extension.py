@@ -78,7 +78,7 @@ def diagonal_section(sl2):
 
 class TestVerify:
     def test_direct_product_verifies(self, product_ext):
-        assert product_ext.verified
+        assert verify_split_extension(product_ext).value is product_ext
 
     def test_section_violation(self, sl2):
         G = direct_product(sl2, sl2)
@@ -255,17 +255,26 @@ class TestMorphism:
 class TestCarrierBuilder:
     """The shared builder behind lambda products, glueings and (E, alpha)
     extensions, fed the componentwise product of sl2 x sl2 directly.  Pairs
-    are element indices: 0 is the top (the identity), 1 the bottom."""
+    are element indices: 0 is the top (the identity), 1 the bottom.  A
+    table that breaks a law but whose pairs all factor as k(n) * s(h) gets
+    past the first-projection check to that law's own."""
+
+    FULL = ((0, 0), (1, 0), (0, 1), (1, 1))
 
     @staticmethod
-    def build(sl2, carrier, s=((0, 0), (0, 1)), what="test carrier"):
+    def build(sl2, carrier, s=((0, 0), (0, 1)), what="test carrier", cell=None):
+        """The build on carrier, with products[i][j] set to pair when cell
+        is (i, j, pair)."""
         t = sl2.table
         products = [[(t[n1][n2], t[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
-        return _extension_on_carrier(sl2, sl2, carrier, products, s, what)[0]
+        if cell is not None:
+            i, j, pair = cell
+            products[i][j] = pair
+        return _extension_on_carrier(sl2, sl2, carrier, products, s, what)
 
     def test_full_carrier_is_the_direct_product(self, sl2, product_ext):
-        ext = self.build(sl2, ((0, 0), (1, 0), (0, 1), (1, 1)))
-        assert ext.verified
+        ext = self.build(sl2, self.FULL)
+        assert verify_split_extension(ext).value is ext
         assert ext.G.labels == ("(1,1)", "(0,1)", "(1,0)", "(0,0)")
         assert extensions_equivalent(ext, product_ext)
 
@@ -280,25 +289,27 @@ class TestCarrierBuilder:
             self.build(sl2, ((0, 0), (1, 0)), s=((0, 0), (0, 1)))
 
     def test_monoid_law_failure_names_the_construction(self, sl2):
-        carrier = ((0, 0), (1, 0), (0, 1), (1, 1))
-        right_zero = [list(carrier) for _ in carrier]  # (0, 0) is no right identity
-        s = ((0, 0), (0, 1))
-        with pytest.raises(ConsistencyError, match="test carrier fails monoid laws"):
-            _extension_on_carrier(sl2, sl2, carrier, right_zero, s, "test carrier")
+        # (0,0) * (1,0) = (0,0), off the factor cells k(n) * s(h): (0, 0) is
+        # no identity
+        with pytest.raises(
+            ConsistencyError, match=r"^test carrier fails monoid laws: identity: 1$"
+        ):
+            self.build(sl2, self.FULL, cell=(0, 1, (0, 0)))
 
     def test_extension_law_failure_names_the_construction(self, sl2):
-        # s(h) = (0, 0) for every h is a monoid hom but not a section of e
-        with pytest.raises(ConsistencyError, match="test carrier fails extension laws"):
-            self.build(sl2, ((0, 0), (1, 0), (0, 1), (1, 1)), s=((0, 0), (0, 0)))
+        # (1,0) * (1,0) = (1,1) is associative with the same factor cells,
+        # but k(1) * k(1) is not k(1)
+        with pytest.raises(
+            ConsistencyError, match=r"^test carrier fails extension laws: k-hom-mul: 1 1$"
+        ):
+            self.build(sl2, self.FULL, cell=(1, 1, (1, 1)))
 
     def test_first_projection_is_the_retraction(self, sl2):
-        carrier = ((0, 0), (1, 0), (0, 1), (1, 1))
-        t = sl2.table
-        products = [[(t[n1][n2], t[h1][h2]) for n2, h2 in carrier] for n1, h1 in carrier]
-        ext, r = _extension_on_carrier(sl2, sl2, carrier, products, ((0, 0), (0, 1)), "test")
-        assert r.ext is ext and ext.verified
+        ext = self.build(sl2, self.FULL, what="test")
+        r = SchreierRetraction(ext, tuple(n for n, _ in self.FULL))
         assert r.q == (0, 1, 0, 1)
         assert r.unique
+        assert find_retraction(ext).value == r
 
     def test_first_projection_failure_is_a_consistency_error(self, sl2):
         # the diagonal section s(1) = (1, 1) passes the extension laws, but
@@ -411,9 +422,9 @@ class TestFactorTable:
 
 
 class TestDerivedFlags:
-    """verified and unique are worked out, not passed in: verified marks the
-    instance that verify_split_extension passed, and unique reads the factor
-    table.  Neither takes part in equality, hashing or repr."""
+    """unique is worked out, not passed in: it reads the factor table, and
+    like ks it takes no part in equality, hashing or repr.
+    verify_split_extension returns the instance it passes, not a copy."""
 
     def test_neither_is_a_field(self):
         assert SplitExtension._fields == ("N", "G", "H", "k", "e", "s")
@@ -421,20 +432,9 @@ class TestDerivedFlags:
 
     def test_verify_marks_and_returns_the_instance(self, sl2):
         ext = direct_product_extension(sl2, sl2)
-        assert not ext.verified
         assert verify_split_extension(ext).value is ext
-        assert ext.verified
         other = direct_product_extension(sl2, sl2)
-        assert not other.verified
         assert other == ext and hash(other) == hash(ext) and repr(other) == repr(ext)
-
-    def test_failed_verification_leaves_the_instance_unmarked(self, sl2):
-        G = direct_product(sl2, sl2)
-        k = MonoidHom(sl2, G, (0, 2))
-        e = MonoidHom(G, sl2, (0, 1, 0, 1))
-        ext = SplitExtension(sl2, G, sl2, k, e, MonoidHom(sl2, G, (0, 2)))
-        assert not verify_split_extension(ext).ok
-        assert not ext.verified
 
     def test_retraction_found_before_verification_extracts(self):
         ext = direct_product_extension(cyclic_group(2), chain_lattice(2))
@@ -502,7 +502,9 @@ class TestCokernelRoute:
         lam = lambda_product(alpha_a)
         _, glued = artin_glueing(identity_hom(sl2))
         built = [build_extension(p) for p in enumerate_wactions(sl3, sl2)]
-        assert lam.extension.verified and glued.verified and len(built) > 1
+        for ext in [lam.extension, glued, *built]:
+            assert verify_split_extension(ext).value is ext
+        assert len(built) > 1
         assert closures == []
 
     def test_closure_runs_once_off_the_table(self, closures, sl2, sl3, diagonal_section):

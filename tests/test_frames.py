@@ -29,7 +29,7 @@ from wschreier.catalog import (
     m3_lattice,
     right_zero_adjoined,
 )
-from wschreier.extension import extension_morphism, find_retraction
+from wschreier.extension import extension_morphism, find_retraction, verify_split_extension
 from wschreier.frames import (
     artin_glueing,
     check_frame,
@@ -374,7 +374,7 @@ class TestArtinGlueing:
         frame, ext = artin_glueing(identity_hom(sl2))
         assert ext.G.size == 3
         assert frame.bottom == 2
-        assert ext.verified
+        assert verify_split_extension(ext).value is ext
         assert find_retraction(ext).ok
 
     def test_glueing_carrier_pairs(self, sl2, sl3):

@@ -1,10 +1,11 @@
 """The law checks that run on the generators k(N) ∪ s(H) of a weakly
 Schreier extension, against the full checks.
 
-When every carrier pair (n, h) of a built table is k(n) * s(h), the
-extension builder checks associativity only at middles in k(N) ∪ s(H);
-verify_split_extension checks e's product law only for left factors in
-them once its factor table covers G; and a glued frame is checked for
+The extension builder refuses a table in which some carrier pair (n, h)
+is not k(n) * s(h), before any other law.  Every table it goes on with is
+generated by k(N) ∪ s(H), and it checks associativity only at middles in
+them; verify_split_extension checks e's product law only for left factors
+in them once its factor table covers G; and a glued frame is checked for
 idempotence and commutativity on them and for distributivity with the
 outer element in them (the closure lemma is in monoid.check_monoid).  Any
 violation reruns the full check.  So every outcome must be the full one:
@@ -16,7 +17,7 @@ The inputs are the 155 λ-products over catalog_inverse_monoids(3), every
 glueing between the frames of commutative_idempotent_monoids(4), and
 seeded one-cell mutants of each table and e map.  One more mutant per
 table moves a cell k(n) * s(h), which breaks the factorisation, so the
-builder falls back to the full associativity check.
+builder refuses it at the first projection.
 """
 
 import random
@@ -98,24 +99,30 @@ class TestBuilder:
                     table[ext.k.map[n]][ext.s.map[h]] == g for g, (n, h) in enumerate(carrier)
                 )
                 monoid = reference_check_monoid(table, G.identity).ok
-                paths[factored, monoid, got[0] == "ConsistencyError"] += 1
-        # the fallback for an unfactored table, a rerun after a failing
-        # generator check, and tables that pass
+                refused = isinstance(got, tuple) and got[0] == "ConsistencyError"
+                paths[factored, monoid, refused] += 1
+        # an unfactored table refused, a rerun after a failing generator
+        # check, and tables that pass
         assert paths[False, False, True] > 0
         assert paths[True, False, True] > 0
         assert paths[True, True, False] > 0
 
-    def test_unfactored_table_is_checked_in_full(self):
+    def test_unfactored_table_is_refused_first(self):
         """k(N) ∪ s(H) = {0, 1, 2} is closed here, and every associativity
-        failure has the pair 3 = (1, 1) as its middle: only the
-        factorisation check sends this table to the full check."""
+        failure has the pair 3 = (1, 1) as its middle, so a check at middles
+        in them passes a table that is not associative.  It does not factor,
+        as k(1) * s(1) = 1 * 2 = 1 is not 3 = (1, 1), and the builder reads
+        that first."""
         N = H = chain_lattice(2)
         carrier = [(n, h) for h in H.elements for n in N.elements]
         table = ((0, 1, 2, 3), (1, 1, 1, 1), (2, 1, 2, 1), (3, 1, 1, 0))
         assert check_monoid(table, 0, _middles={0, 1, 2}).ok
         assert not reference_check_monoid(table, 0).ok
         products = [[carrier[x] for x in row] for row in table]
-        with pytest.raises(ConsistencyError, match=r"^x fails monoid laws: associativity: 2 3 3$"):
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^x first projection is no Schreier retraction: q\(3\) = 1 does not factor g$",
+        ):
             _extension_on_carrier(N, H, carrier, products, [carrier[0], carrier[2]], "x")
 
 

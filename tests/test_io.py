@@ -97,6 +97,11 @@ class TestMonoidFormat:
             parse_monoid("monoid m 2\nidentity 0\nrow 0: 0 1\nrow 2: 1 1\n", "m.mon")
         assert str(info.value) == "m.mon:4:5: expected row 1, got row 2"
 
+    def test_identity_line_with_two_indices(self):
+        with pytest.raises(ParseError) as info:
+            parse_monoid("monoid m 1\nidentity 0 0\nrow 0: 0\n", "m.mon")
+        assert str(info.value) == "m.mon:2:1: expected 'identity <index>'"
+
     def test_trailing_line_rejected(self):
         with pytest.raises(ParseError) as info:
             parse_monoid("monoid m 1\nidentity 0\nrow 0: 0\nrow 1: 0\n")

@@ -27,6 +27,7 @@ from wschreier.extension import (
     extension_morphism,
     extensions_equivalent,
     find_retraction,
+    verify_split_extension,
 )
 from wschreier.monoid import (
     BoundExceeded,
@@ -146,7 +147,7 @@ class TestLambdaProduct:
     def test_extension_structure(self, alpha_a):
         lam = lambda_product(alpha_a)
         ext = lam.extension
-        assert ext.verified
+        assert verify_split_extension(ext).value is ext
         assert ext.k.map == (0, 1, 2)
         assert ext.e.map == (0, 0, 0, 1)
         assert ext.s.map == (0, 3)  # s(e) is the collapsed pair (a, e)
@@ -381,8 +382,8 @@ class TestEnumeration:
 
     def test_every_action_builds(self, enum_cache, sl3, sl2):
         for a in enum_cache.inverse_actions(sl3, sl2):
-            lam = lambda_product(a)
-            assert lam.extension.verified
+            ext = lambda_product(a).extension
+            assert verify_split_extension(ext).value is ext
 
     def test_bound_enforced(self, sl2):
         n_inv = inverse_structure(sl2).value
@@ -520,7 +521,8 @@ class TestEnumeration:
         monkeypatch.setattr(lambda_module, "check_inverse_action",
                             lambda *args: calls.append(args) or real(*args))
         for a in actions:
-            assert lambda_product(a).extension.verified
+            ext = lambda_product(a).extension
+            assert verify_split_extension(ext).value is ext
         assert len(actions) == 155 and calls == []
 
     def test_each_found_table_is_checked(self, sl3, c2, monkeypatch):

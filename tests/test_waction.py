@@ -291,7 +291,7 @@ class TestBuildExtension:
     ):
         p = WActPair(collapse_E, ActionTable(sl3, sl2, alpha_a.act))
         ext = build_extension(p)
-        assert ext.verified
+        assert verify_split_extension(ext).value is ext
         assert ext.G.size == 4
         assert ext.e.map == (0, 0, 0, 1)
 
@@ -552,7 +552,7 @@ class TestEnumeration:
     def test_every_enumerated_pair_builds(self, enum_cache, sl3, sl2):
         for p in enum_cache.wactions(sl3, sl2):
             ext = build_extension(p)
-            assert ext.verified
+            assert verify_split_extension(ext).value is ext
 
     def test_bound_enforced(self, sl3):
         with pytest.raises(BoundExceeded) as info:
